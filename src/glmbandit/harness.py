@@ -9,6 +9,8 @@ index makes the output independent of execution order and worker count.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -142,6 +144,22 @@ class ExperimentSpec:
         return spec
 
     def validate(self) -> None:
+        for name, kind in _SPEC_FIELDS.items():
+            value = getattr(self, name)
+            if kind is float and value is not None and not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
+        if self.theta_star is not None and not all(map(math.isfinite, self.theta_star)):
+            raise InvalidConfigError("theta_star must hold finite numbers only")
+        if self.fixed_contexts is not None:
+            rows = self.fixed_contexts
+            if len(rows) != self.K or any(len(row) != self.d for row in rows):
+                raise InvalidConfigError("fixed_contexts must have shape (K, d)")
+            if not all(math.isfinite(v) for row in rows for v in row):
+                raise InvalidConfigError("fixed_contexts must hold finite numbers only")
+        if self.theta_norm < 0:
+            raise InvalidConfigError("theta_norm must be nonnegative")
         if min(self.T, self.d, self.K) < 1:
             raise InvalidConfigError("T, d, K must be positive")
         if self.replications < 1:

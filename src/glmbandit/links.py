@@ -24,7 +24,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Overflow-free form: exp is only ever applied to nonpositive arguments.
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def _normal_pdf(z: np.ndarray) -> np.ndarray:

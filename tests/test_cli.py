@@ -51,6 +51,17 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides", [{"sigma": float("nan")}, {"theta_norm": -1.0}])
+def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrides, capsys):
+    raw = json.loads(open(run_config).read())
+    raw.update(overrides)
+    path = write_json(tmp_path / "bad_value.json", raw)
+    out = tmp_path / "results"
+    assert cli_main(["run", "--config", path, "--out", str(out)]) == 1
+    assert next(iter(overrides)) in capsys.readouterr().err
+    assert not (out / "summary.csv").exists()
+
+
 def test_malformed_json_exits_1(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json")

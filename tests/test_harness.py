@@ -63,6 +63,39 @@ def test_gaussian_requires_sigma():
         base_spec(sigma=None)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sigma": math.nan},
+        {"sigma": math.inf},
+        {"sigma": "0.1"},
+        {"alpha": math.nan, "alpha_rule": "explicit"},
+        {"kappa": math.nan},
+        {"delta": math.nan},
+        {"theta_star": [0.5, math.nan]},
+        {"fixed_contexts": [[0.5, math.nan], [0.0, 1.0]], "context_dist": "fixed"},
+    ],
+    ids=[
+        "sigma-nan", "sigma-inf", "sigma-str", "alpha-nan", "kappa-nan", "delta-nan",
+        "theta-star-nan", "fixed-contexts-nan",
+    ],
+)
+def test_non_finite_or_non_numeric_values_rejected(overrides):
+    name = next(iter(overrides))
+    with pytest.raises(InvalidConfigError, match=name):
+        base_spec(**overrides)
+
+
+def test_ragged_fixed_contexts_rejected():
+    with pytest.raises(InvalidConfigError, match="shape"):
+        base_spec(context_dist="fixed", fixed_contexts=[[1.0, 0.0], [0.0]])
+
+
+def test_negative_theta_norm_rejected():
+    with pytest.raises(InvalidConfigError, match="theta_norm"):
+        base_spec(theta_norm=-1.0)
+
+
 def test_resolve_policy_config_defaults():
     spec = base_spec(tau=None, T=5000, d=3, K=5, link="logistic", noise="bernoulli", sigma=None)
     ucb = resolve_policy_config(spec, "ucb-glm")

@@ -1,10 +1,26 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from glmbandit.links import IDENTITY, LOGISTIC
+from glmbandit import mle
+from glmbandit.design import min_eigenvalue
+from glmbandit.errors import SingularFisherError
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT
 from glmbandit.mle import mle_fit, score_vector
 
-from oracles import grad_ascent_mle, random_logistic_instance
+from oracles import grad_ascent_mle, random_logistic_instance, reference_mle_fit
+
+LINKS = {link.kind: link for link in (IDENTITY, LOGISTIC, PROBIT)}
+
+# Far from the optimum a full Newton step overshoots: this warm start makes
+# the logistic fit below halve its step.
+HALVING_XS = np.random.default_rng(3).standard_normal((40, 2)) / 2.0
+HALVING_YS = (
+    np.random.default_rng(4).random(40) < LOGISTIC.mu(HALVING_XS @ np.array([0.5, -0.5]))
+).astype(float)
+HALVING_START = np.array([4.0, 4.0])
 
 
 def test_orthonormal_design_recovers_least_squares():
@@ -81,3 +97,130 @@ def test_warm_start_converges_in_fewer_iterations():
     assert warm.converged
     assert warm.iterations <= 1
     assert np.allclose(warm.theta, cold.theta, atol=1e-8)
+
+
+def counting(link):
+    """The same link with its mu and mu_dot calls counted."""
+    calls = {"mu": 0, "mu_dot": 0}
+
+    def counted(name):
+        fn = getattr(link, name)
+
+        def wrapper(z):
+            calls[name] += 1
+            return fn(z)
+
+        return wrapper
+
+    return dataclasses.replace(link, mu=counted("mu"), mu_dot=counted("mu_dot")), calls
+
+
+def fit_outcome(fit, *args, **kwargs):
+    try:
+        return fit(*args, **kwargs)
+    except SingularFisherError as err:
+        return str(err)
+
+
+def assert_matches_reference(link, xs, ys, **kwargs):
+    new = fit_outcome(mle_fit, link, xs, ys, **kwargs)
+    ref = fit_outcome(reference_mle_fit, link, xs, ys, **kwargs)
+    if isinstance(ref, str):
+        assert new == ref
+        return
+    assert np.array_equal(new.theta, ref.theta)
+    assert new.iterations == ref.iterations
+    assert new.converged == ref.converged
+    assert np.array_equal(new.final_score_norm, ref.final_score_norm, equal_nan=True)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(sorted(LINKS)),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 5),
+    n=st.integers(1, 120),
+    start=st.sampled_from(["cold", "near", "far"]),
+)
+def test_bit_identical_to_reference_loop(kind, seed, d, n, start):
+    link = LINKS[kind]
+    gen = np.random.default_rng(seed)
+    z = gen.standard_normal((n, d))
+    z /= np.maximum(np.linalg.norm(z, axis=1)[:, None], 1e-12)
+    xs = z * (gen.random(n) ** (1.0 / d))[:, None]
+    theta_star = gen.uniform(-1.0, 1.0, size=d)
+    if kind == "identity":
+        ys = xs @ theta_star + 0.1 * gen.standard_normal(n)
+    else:
+        ys = (gen.random(n) < link.mu(xs @ theta_star)).astype(float)
+    warm = {
+        "cold": None,
+        "near": theta_star + 0.1 * gen.standard_normal(d),
+        "far": gen.uniform(-6.0, 6.0, size=d),
+    }[start]
+    assert_matches_reference(link, xs, ys, warm_start=warm)
+
+
+@pytest.mark.parametrize(
+    "link, xs, ys, kwargs",
+    [
+        # Step halving from a distant warm start.
+        (LOGISTIC, HALVING_XS, HALVING_YS, {"warm_start": HALVING_START}),
+        (PROBIT, HALVING_XS, HALVING_YS, {"warm_start": HALVING_START}),
+        # Rank-deficient Fisher matrix carried by the ridge.
+        (IDENTITY, np.array([[1.0, 0.0]]), np.array([0.3]), {}),
+        # Separable data stopped at the iteration cap.
+        (LOGISTIC, np.ones((6, 1)), np.ones(6), {"max_iterations": 3}),
+    ],
+    ids=["halving-logistic", "halving-probit", "ridge", "separable"],
+)
+def test_bit_identical_to_reference_loop_on_edge_cases(link, xs, ys, kwargs):
+    assert_matches_reference(link, xs, ys, **kwargs)
+
+
+def test_one_link_pass_per_candidate():
+    gen = np.random.default_rng(13)
+    xs = gen.standard_normal((200, 4)) / 2.0
+    ys = (gen.random(200) < LOGISTIC.mu(xs @ np.array([0.4, -0.3, 0.2, 0.1]))).astype(float)
+    warm = mle_fit(LOGISTIC, xs[:-1], ys[:-1]).theta
+
+    # A warm fit accepts every full Newton step: one candidate per iteration.
+    link, calls = counting(LOGISTIC)
+    fit = mle_fit(link, xs, ys, warm_start=warm)
+    assert fit.iterations >= 1
+    assert calls == {"mu": 1 + fit.iterations, "mu_dot": 0}
+
+    # With step halving, the reference loop makes one mu pass per candidate
+    # plus the initial score, and one mu_dot pass per iteration.
+    ref_link, ref_calls = counting(LOGISTIC)
+    ref = reference_mle_fit(ref_link, HALVING_XS, HALVING_YS, warm_start=HALVING_START)
+    assert ref_calls["mu"] > 1 + ref.iterations
+    assert ref_calls["mu_dot"] == ref.iterations
+    link, calls = counting(LOGISTIC)
+    mle_fit(link, HALVING_XS, HALVING_YS, warm_start=HALVING_START)
+    assert calls == {"mu": ref_calls["mu"], "mu_dot": 0}
+
+
+def test_eigensolver_runs_only_near_singular(monkeypatch):
+    eig_calls = []
+
+    def counted(a):
+        eig_calls.append(a)
+        return min_eigenvalue(a)
+
+    monkeypatch.setattr(mle, "min_eigenvalue", counted)
+    gen = np.random.default_rng(13)
+    xs = gen.standard_normal((200, 4)) / 2.0
+    ys = (gen.random(200) < LOGISTIC.mu(xs @ np.array([0.4, -0.3, 0.2, 0.1]))).astype(float)
+    fit = mle_fit(LOGISTIC, xs, ys)
+    assert fit.converged and fit.iterations >= 2
+    assert eig_calls == []
+
+    # Rank one in two dimensions: every iteration checks, adds the ridge
+    # and checks again, and lands where the reference loop lands.
+    xs, ys = np.array([[1.0, 0.0]]), np.array([0.3])
+    fit = mle_fit(IDENTITY, xs, ys)
+    assert len(eig_calls) == 2 * fit.iterations
+    ref = reference_mle_fit(IDENTITY, xs, ys)
+    assert np.array_equal(fit.theta, ref.theta)
+    assert fit.iterations == ref.iterations
