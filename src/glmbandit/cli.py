@@ -13,10 +13,12 @@ import sys
 
 import numpy as np
 
+from .environment import sub_gaussian_sigma
 from .errors import InvalidConfigError, NumericalError
-from .harness import ExperimentSpec, emit_csv, run_experiment, sweep
-from .links import get_link
+from .harness import ExperimentSpec, emit_csv, run_experiment, sweep, sweep_type
+from .links import compute_kappa, get_link
 from .validation import (
+    ValidationSpec,
     lemma4_event_coverage,
     probe_directions,
     proposition1_growth,
@@ -27,44 +29,6 @@ from .validation import (
 )
 
 VALIDATION_CHECKS = ("theorem1", "prop1", "lemma4", "znorm")
-
-_VALIDATE_KEYS = {
-    "link": str,
-    "noise": str,
-    "d": int,
-    "n": int,
-    "K": int,
-    "T": int,
-    "sigma": float,
-    "delta": float,
-    "replications": int,
-    "master_seed": int,
-    "context_dist": str,
-    "theta_norm": float,
-    "tau": int,
-    "kappa": float,
-    "n_random_directions": int,
-    "n_grid": list,
-}
-
-_VALIDATE_DEFAULTS = {
-    "link": "identity",
-    "noise": "gaussian",
-    "d": 3,
-    "n": 2000,
-    "K": 5,
-    "T": 2000,
-    "sigma": 0.1,
-    "delta": 0.05,
-    "replications": 200,
-    "master_seed": 0,
-    "context_dist": "uniform_ball",
-    "theta_norm": 1.0,
-    "tau": None,
-    "kappa": None,
-    "n_random_directions": 100,
-    "n_grid": None,
-}
 
 
 def _load_config(path: str) -> dict:
@@ -78,96 +42,80 @@ def _load_config(path: str) -> dict:
     return raw
 
 
-def _validation_config(path: str) -> dict:
-    raw = _load_config(path)
-    unknown = sorted(set(raw) - set(_VALIDATE_KEYS))
-    if unknown:
-        raise InvalidConfigError(f"unknown validation config keys: {', '.join(unknown)}")
-    merged = dict(_VALIDATE_DEFAULTS)
-    merged.update(raw)
-    return merged
-
-
-def _run_check(check: str, cfg: dict) -> dict:
-    link = get_link(cfg["link"])
+def _run_check(check: str, cfg: ValidationSpec) -> dict:
+    link = get_link(cfg.link)
     if check == "theorem1":
-        directions = probe_directions(
-            cfg["d"], cfg["n_random_directions"], cfg["master_seed"]
-        )
+        directions = probe_directions(cfg.d, cfg.n_random_directions, cfg.master_seed)
         report = theorem1_coverage(
             link,
-            cfg["d"],
-            cfg["n"],
-            cfg["sigma"],
-            cfg["delta"],
+            cfg.d,
+            cfg.n,
+            cfg.sigma,
+            cfg.delta,
             directions,
-            cfg["replications"],
-            noise=cfg["noise"],
-            context_dist=cfg["context_dist"],
-            theta_norm=cfg["theta_norm"],
-            master_seed=cfg["master_seed"],
+            cfg.replications,
+            noise=cfg.noise,
+            context_dist=cfg.context_dist,
+            theta_norm=cfg.theta_norm,
+            master_seed=cfg.master_seed,
         )
         return report.to_dict()
     if check == "prop1":
-        n_grid = cfg["n_grid"] or [100, 1000, 10000]
         report = proposition1_growth(
-            cfg["context_dist"],
-            cfg["d"],
-            [int(n) for n in n_grid],
-            cfg["replications"],
-            master_seed=cfg["master_seed"],
+            cfg.context_dist,
+            cfg.d,
+            list(cfg.n_grid or (100, 1000, 10000)),
+            cfg.replications,
+            master_seed=cfg.master_seed,
         )
         return report.to_dict()
     if check == "lemma4":
         runs = run_ucb_glm_instrumented(
             link,
-            cfg["d"],
-            cfg["K"],
-            cfg["T"],
-            cfg["delta"],
-            cfg["sigma"],
-            cfg["replications"],
-            noise=cfg["noise"],
-            context_dist=cfg["context_dist"],
-            theta_norm=cfg["theta_norm"],
-            tau=cfg["tau"],
-            kappa=cfg["kappa"],
-            master_seed=cfg["master_seed"],
+            cfg.d,
+            cfg.K,
+            cfg.T,
+            cfg.delta,
+            cfg.sigma,
+            cfg.replications,
+            noise=cfg.noise,
+            context_dist=cfg.context_dist,
+            theta_norm=cfg.theta_norm,
+            tau=cfg.tau,
+            kappa=cfg.kappa,
+            master_seed=cfg.master_seed,
         )
-        from .environment import BERNOULLI_SUB_GAUSSIAN_SIGMA
-        from .links import compute_kappa
-
-        sigma = BERNOULLI_SUB_GAUSSIAN_SIGMA if cfg["noise"] == "bernoulli" else cfg["sigma"]
-        kappa = cfg["kappa"] if cfg["kappa"] is not None else compute_kappa(link, cfg["theta_norm"])
-        report = lemma4_event_coverage(runs, sigma, kappa, cfg["delta"]).to_dict()
+        sigma = sub_gaussian_sigma(cfg.noise, cfg.sigma)
+        kappa = cfg.kappa if cfg.kappa is not None else compute_kappa(link, cfg.theta_norm)
+        report = lemma4_event_coverage(runs, sigma, kappa, cfg.delta).to_dict()
         report["width_sum"] = width_sum_check(runs).to_dict()
         return report
     if check == "znorm":
         report = znorm_bound_check(
             link,
-            cfg["d"],
-            cfg["n"],
-            cfg["sigma"],
-            cfg["delta"],
-            cfg["replications"],
-            noise=cfg["noise"],
-            context_dist=cfg["context_dist"],
-            theta_norm=cfg["theta_norm"],
-            master_seed=cfg["master_seed"],
+            cfg.d,
+            cfg.n,
+            cfg.sigma,
+            cfg.delta,
+            cfg.replications,
+            noise=cfg.noise,
+            context_dist=cfg.context_dist,
+            theta_norm=cfg.theta_norm,
+            master_seed=cfg.master_seed,
         )
         return report.to_dict()
     raise InvalidConfigError(f"unknown check {check!r}")
 
 
 def _parse_sweep_values(param: str, text: str) -> list:
-    int_params = {"T", "d", "K", "tau", "replications", "master_seed", "record_every"}
+    kind = sweep_type(param)
     values = []
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
         try:
-            values.append(int(item) if param in int_params else float(item))
+            values.append(kind(item))
         except ValueError:
             raise InvalidConfigError(f"cannot parse sweep value {item!r}") from None
     if not values:
@@ -224,7 +172,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             written = emit_csv(result, out_dir)
             print(f"wrote {written['summary']}")
         elif args.command == "validate":
-            cfg = _validation_config(args.config)
+            cfg = ValidationSpec.from_dict(_load_config(args.config))
             report = _run_check(args.check, cfg)
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{args.check}_report.json")

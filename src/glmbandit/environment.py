@@ -1,4 +1,4 @@
-"""Synthetic ground-truth world: contexts, rewards, and regret accounting.
+"""Synthetic ground-truth world: contexts, rewards, and arm means.
 
 The environment is the only component that holds the true parameter
 vector.  Rewards follow ``Y = mu(X'theta*) + eps`` where the noise is
@@ -23,6 +23,16 @@ CONTEXT_DISTRIBUTIONS = ("uniform_ball", "sphere", "gaussian_normalized", "fixed
 NOISE_KINDS = ("bernoulli", "gaussian")
 
 BERNOULLI_SUB_GAUSSIAN_SIGMA = 0.5
+
+
+def sub_gaussian_sigma(noise: str, sigma: float | None) -> float:
+    """Noise scale entering the confidence formulas: 1/2 for Bernoulli
+    rewards, the configured Gaussian scale otherwise."""
+    if noise == "bernoulli":
+        return BERNOULLI_SUB_GAUSSIAN_SIGMA
+    if sigma is None:
+        raise InvalidConfigError("gaussian noise requires sigma")
+    return float(sigma)
 
 
 def sample_context_batch(
@@ -154,13 +164,6 @@ class Environment:
             fixed_contexts=fixed_contexts,
         )
 
-    @property
-    def sub_gaussian_sigma(self) -> float:
-        """Noise scale entering the confidence formulas."""
-        if self.noise == "bernoulli":
-            return BERNOULLI_SUB_GAUSSIAN_SIGMA
-        return self.sigma
-
     def sample_contexts(self) -> np.ndarray:
         """One round's K feature vectors, iid across arms and rounds."""
         return sample_context_batch(
@@ -183,11 +186,3 @@ class Environment:
         if self.noise == "bernoulli":
             return float(self.rewards_rng.random() < mean)
         return mean + self.sigma * float(self.rewards_rng.standard_normal())
-
-    def optimal_arm(self, contexts: np.ndarray) -> int:
-        # mu is strictly increasing, so the linear scale has the same argmax.
-        return int(np.argmax(contexts @ self.theta_star))
-
-    def instantaneous_regret(self, contexts: np.ndarray, chosen: int) -> float:
-        means = self.arm_means(contexts)
-        return float(means.max() - means[chosen])

@@ -8,22 +8,25 @@ index makes the output independent of execution order and worker count.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
 import os
+import typing
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from . import __about__
 from . import rng as streams
 from .environment import (
-    BERNOULLI_SUB_GAUSSIAN_SIGMA,
     CONTEXT_DISTRIBUTIONS,
     Environment,
     second_moment_min_eig,
+    sub_gaussian_sigma,
 )
 from .errors import InvalidConfigError
 from .links import compute_kappa, get_link
@@ -43,46 +46,8 @@ THREADS_ENV_VAR = "GLM_BANDIT_THREADS"
 SUMMARY_HEADER = "algorithm,t,mean_cum_regret,std_cum_regret,min,max,n_reps"
 TRACE_HEADER = "t,arm,optimal_arm,reward,inst_regret,cum_regret,mle_converged,stage"
 
-_SPEC_FIELDS = {
-    "T": int,
-    "d": int,
-    "K": int,
-    "link": str,
-    "noise": str,
-    "sigma": float,
-    "context_dist": str,
-    "fixed_contexts": list,
-    "theta_norm": float,
-    "theta_star": list,
-    "algorithms": list,
-    "alpha": float,
-    "alpha_rule": str,
-    "tau": int,
-    "delta": float,
-    "epsilon": float,
-    "kappa": float,
-    "replications": int,
-    "master_seed": int,
-    "record_every": int,
-    "out_dir": str,
-}
-
-_OPTIONAL_DEFAULTS = {
-    "sigma": None,
-    "fixed_contexts": None,
-    "theta_norm": 1.0,
-    "theta_star": None,
-    "alpha": None,
-    "alpha_rule": None,
-    "tau": None,
-    "delta": 0.05,
-    "epsilon": 0.1,
-    "kappa": None,
-    "replications": 1,
-    "master_seed": 0,
-    "record_every": 1,
-    "out_dir": None,
-}
+# Spec fields that fix the rows of summary.csv, which every sweep variant shares.
+_SHAPE_FIELDS = ("T", "record_every", "replications")
 
 
 def fmt(value: float) -> str:
@@ -95,6 +60,82 @@ def fmt12(value: float) -> float:
     return float(fmt(value))
 
 
+# Spec parsing ----------------------------------------------------------------
+
+
+@functools.cache
+def _field_types(cls) -> dict[str, object]:
+    return typing.get_type_hints(cls)
+
+
+def _strip_none(kind):
+    """``X`` for a declared ``X | None``, else ``kind`` itself."""
+    args = typing.get_args(kind)
+    return args[0] if type(None) in args else kind
+
+
+def _conform(name: str, value, kind):
+    """``value`` in the form its declared type takes, or InvalidConfigError.
+
+    JSON lists become tuples and the float entries of a list floats;
+    scalars are checked and kept as given, so a spec echoes its config.
+    """
+    inner = _strip_none(kind)
+    if value is None and inner is not kind:
+        return None
+    if typing.get_origin(inner) is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise InvalidConfigError(f"{name}: expected a list, got {value!r}")
+        item = typing.get_args(inner)[0]
+        items = tuple(_conform(name, v, item) for v in value)
+        return tuple(map(float, items)) if item is float else items
+    if inner is float:
+        real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        ok = real and math.isfinite(value)
+        what = "a finite number"
+    elif inner is int:
+        ok = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+        what = "an integer"
+    else:
+        ok = isinstance(value, inner)
+        what = f"a {inner.__name__}"
+    if not ok:
+        raise InvalidConfigError(f"{name}: expected {what}, got {value!r}")
+    return value
+
+
+def check_spec_types(spec) -> None:
+    """Check every field of a spec dataclass against its declared type."""
+    types = _field_types(type(spec))
+    for f in fields(spec):
+        _conform(f.name, getattr(spec, f.name), types[f.name])
+
+
+def spec_from_dict(cls, raw: dict, what: str):
+    """Build the spec dataclass ``cls`` from a flat JSON mapping and validate it.
+
+    Unknown keys are an error: a silent typo in a tuning key (alpha, tau,
+    kappa, ...) would invalidate an experiment, so nothing is ignored.
+    Keys, defaults and types all come from the dataclass fields.
+    """
+    declared = fields(cls)
+    unknown = sorted(set(raw) - {f.name for f in declared})
+    if unknown:
+        raise InvalidConfigError(f"unknown {what} keys: {', '.join(unknown)}")
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise InvalidConfigError(f"missing {what} keys: {', '.join(missing)}")
+    types = _field_types(cls)
+    spec = cls(**{name: _conform(name, value, types[name]) for name, value in raw.items()})
+    spec.validate()
+    return spec
+
+
+def base_algorithm(name: str) -> str:
+    """The policy kind behind an algorithm label: "ucb-glm[alpha=1]" -> "ucb-glm"."""
+    return name.split("[", 1)[0]
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     T: int
@@ -105,9 +146,9 @@ class ExperimentSpec:
     algorithms: tuple[str, ...]
     sigma: float | None = None
     context_dist: str = "uniform_ball"
-    fixed_contexts: tuple | None = None
+    fixed_contexts: tuple[tuple[float, ...], ...] | None = None
     theta_norm: float = 1.0
-    theta_star: tuple | None = None
+    theta_star: tuple[float, ...] | None = None
     alpha: float | None = None
     alpha_rule: str | None = None
     tau: int | None = None
@@ -121,43 +162,15 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> ExperimentSpec:
-        """Build a spec from a flat JSON mapping; unknown keys are an error.
-
-        A silent typo in a tuning key (alpha, tau, kappa, ...) would
-        invalidate an experiment, so nothing is ignored.
-        """
-        unknown = sorted(set(raw) - set(_SPEC_FIELDS))
-        if unknown:
-            raise InvalidConfigError(f"unknown config keys: {', '.join(unknown)}")
-        merged = dict(_OPTIONAL_DEFAULTS)
-        merged.update(raw)
-        missing = [k for k in ("T", "d", "K", "link", "noise", "algorithms") if k not in merged]
-        if missing:
-            raise InvalidConfigError(f"missing config keys: {', '.join(missing)}")
-        if merged.get("fixed_contexts") is not None:
-            merged["fixed_contexts"] = tuple(tuple(map(float, row)) for row in merged["fixed_contexts"])
-        if merged.get("theta_star") is not None:
-            merged["theta_star"] = tuple(map(float, merged["theta_star"]))
-        merged["algorithms"] = tuple(merged["algorithms"])
-        spec = cls(**merged)
-        spec.validate()
-        return spec
+        """Build a spec from a flat JSON mapping; unknown keys are an error."""
+        return spec_from_dict(cls, raw, "config")
 
     def validate(self) -> None:
-        for name, kind in _SPEC_FIELDS.items():
-            value = getattr(self, name)
-            if kind is float and value is not None and not (
-                isinstance(value, numbers.Real) and math.isfinite(value)
-            ):
-                raise InvalidConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.theta_star is not None and not all(map(math.isfinite, self.theta_star)):
-            raise InvalidConfigError("theta_star must hold finite numbers only")
+        check_spec_types(self)
         if self.fixed_contexts is not None:
             rows = self.fixed_contexts
             if len(rows) != self.K or any(len(row) != self.d for row in rows):
                 raise InvalidConfigError("fixed_contexts must have shape (K, d)")
-            if not all(math.isfinite(v) for row in rows for v in row):
-                raise InvalidConfigError("fixed_contexts must hold finite numbers only")
         if self.theta_norm < 0:
             raise InvalidConfigError("theta_norm must be nonnegative")
         if min(self.T, self.d, self.K) < 1:
@@ -166,11 +179,14 @@ class ExperimentSpec:
             raise InvalidConfigError("replications must be at least 1")
         if self.record_every < 1:
             raise InvalidConfigError("record_every must be at least 1")
+        if self.master_seed < 0:
+            raise InvalidConfigError("master_seed must be nonnegative")
         if not self.algorithms:
             raise InvalidConfigError("at least one algorithm is required")
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise InvalidConfigError("algorithms must not repeat")
         for name in self.algorithms:
-            base = name.split("[", 1)[0]
-            if base not in POLICY_KINDS:
+            if base_algorithm(name) not in POLICY_KINDS:
                 raise InvalidConfigError(
                     f"unknown algorithm {name!r}; expected one of {POLICY_KINDS}"
                 )
@@ -197,11 +213,6 @@ class ExperimentSpec:
 
     # Derived quantities ---------------------------------------------------
 
-    def sub_gaussian_sigma(self) -> float:
-        if self.noise == "bernoulli":
-            return BERNOULLI_SUB_GAUSSIAN_SIGMA
-        return float(self.sigma)
-
     def sigma0_sq(self) -> float:
         fixed = None
         if self.fixed_contexts is not None:
@@ -217,26 +228,16 @@ class ExperimentSpec:
         return compute_kappa(get_link(self.link), norm)
 
 
-def tau_rule_label(spec: ExperimentSpec, algorithm: str) -> str:
-    """Which rule produced tau; echoed in meta.json since the upstream
-    constants are unspecified and the defaults here are just defaults."""
-    base = algorithm.split("[", 1)[0]
-    if base not in ("ucb-glm", "supcb-glm"):
-        return "none"
-    if spec.tau is not None:
-        return "explicit"
-    if base == "supcb-glm":
-        return "sqrt_dT"
-    rule = spec.alpha_rule or "theorem2"
-    return "theorem4" if rule == "theorem4" else "c16_default"
-
-
 def resolve_policy_config(spec: ExperimentSpec, algorithm: str) -> PolicyConfig:
-    """Fill in the tuning for one algorithm: alpha rule, tau default, kappa."""
-    base = algorithm.split("[", 1)[0]
+    """Fill in the tuning for one algorithm: alpha rule, tau default, kappa.
+
+    The tau rule is echoed in meta.json since the upstream constants are
+    unspecified and the defaults here are just defaults.
+    """
+    base = base_algorithm(algorithm)
     link = get_link(spec.link)
     kappa = spec.resolved_kappa()
-    sigma = spec.sub_gaussian_sigma()
+    sigma = sub_gaussian_sigma(spec.noise, spec.sigma)
     if base in ("ucb-glm", "supcb-glm"):
         rule = spec.alpha_rule or ("theorem3" if base == "supcb-glm" else "theorem2")
         alpha = alpha_from_rule(
@@ -251,20 +252,20 @@ def resolve_policy_config(spec: ExperimentSpec, algorithm: str) -> PolicyConfig:
             alpha=spec.alpha,
         )
         if spec.tau is not None:
-            tau = spec.tau
+            tau, tau_rule = spec.tau, "explicit"
         elif base == "supcb-glm":
-            tau = tau_for_supcb(spec.d, spec.T)
+            tau, tau_rule = tau_for_supcb(spec.d, spec.T), "sqrt_dT"
         elif rule == "theorem4":
-            tau = tau_for_theorem4(spec.d, spec.T, sigma, kappa)
+            tau, tau_rule = tau_for_theorem4(spec.d, spec.T, sigma, kappa), "theorem4"
         else:
-            tau = tau_for_ucb(spec.d, spec.delta, spec.sigma0_sq())
+            tau, tau_rule = tau_for_ucb(spec.d, spec.delta, spec.sigma0_sq()), "c16_default"
         if tau > spec.T:
             raise InvalidConfigError(
                 f"derived tau={tau} exceeds the horizon T={spec.T}; "
                 f"set tau explicitly or increase T"
             )
     else:
-        rule, alpha, tau = "explicit", 0.0, 0
+        rule, alpha, tau, tau_rule = "explicit", 0.0, 0, "none"
     return PolicyConfig(
         T=spec.T,
         d=spec.d,
@@ -276,6 +277,7 @@ def resolve_policy_config(spec: ExperimentSpec, algorithm: str) -> PolicyConfig:
         delta=spec.delta,
         alpha_rule=rule,
         epsilon=spec.epsilon,
+        tau_rule=tau_rule,
     ).validated()
 
 
@@ -308,14 +310,22 @@ def simulate(
     record_every: int = 1,
     algorithm: str = "",
     replication: int = 0,
+    observe: Callable[[int, np.ndarray], None] | None = None,
 ) -> RegretTrace:
-    """Drive one policy through T rounds of the environment."""
+    """Drive one policy through T rounds of the environment.
+
+    ``observe(t, x)``, when given, sees each round's chosen features after
+    the policy selects and before the reward is drawn. It must draw from
+    no random stream, so observed runs stay identical to plain ones.
+    """
     rows = []
     cum = 0.0
     for t in range(1, T + 1):
         contexts = env.sample_contexts()
         arm = policy.select(t, contexts)
         x = contexts[arm]
+        if observe is not None:
+            observe(t, x)
         y = env.sample_reward(x)
         policy.update(t, arm, x, y)
         means = env.arm_means(contexts)
@@ -356,7 +366,7 @@ def build_environment(spec: ExperimentSpec, replication: int) -> Environment:
         K=spec.K,
         link=get_link(spec.link),
         noise=spec.noise,
-        sigma=spec.sigma if spec.sigma is not None else spec.sub_gaussian_sigma(),
+        sigma=sub_gaussian_sigma(spec.noise, spec.sigma),
         context_dist=spec.context_dist,
         theta_norm=spec.theta_norm,
         master_seed=spec.master_seed,
@@ -370,8 +380,8 @@ def run_replication(spec: ExperimentSpec, algorithm: str, replication: int) -> R
     env = build_environment(spec, replication)
     config = resolve_policy_config(spec, algorithm)
     policy_rng = streams.stream(spec.master_seed, replication, streams.POLICY)
-    base = algorithm.split("[", 1)[0]
-    policy = make_policy(base, config, get_link(spec.link), policy_rng, env.theta_star)
+    link = get_link(spec.link)
+    policy = make_policy(base_algorithm(algorithm), config, link, policy_rng, env.theta_star)
     return simulate(env, policy, spec.T, spec.record_every, algorithm, replication)
 
 
@@ -412,17 +422,21 @@ class ExperimentResult:
     traces: list[RegretTrace]
 
 
-def aggregate(spec: ExperimentSpec, traces: list[RegretTrace]) -> AggregateSummary:
-    by_alg: dict[str, list[RegretTrace]] = {name: [] for name in spec.algorithms}
-    for trace in traces:
-        by_alg[trace.algorithm].append(trace)
+def aggregate(specs: dict[str, ExperimentSpec], traces: list[RegretTrace]) -> AggregateSummary:
+    """Cross-replication statistics, flags and tuning per algorithm label.
+
+    ``specs`` maps each label to the spec its traces ran under: one spec
+    for every algorithm of a run, one spec per variant of a sweep. All of
+    them share T, record_every and replications.
+    """
     stats: dict[str, dict[str, np.ndarray]] = {}
     flags: dict[str, dict[str, object]] = {}
-    ts = None
-    for name, group in by_alg.items():
-        group = sorted(group, key=lambda tr: tr.replication)
+    derived: dict[str, dict[str, float]] = {}
+    for name, spec in specs.items():
+        group = sorted(
+            (tr for tr in traces if tr.algorithm == name), key=lambda tr: tr.replication
+        )
         curves = np.stack([tr.cum_regret for tr in group])
-        ts = group[0].ts
         stats[name] = {
             "mean": curves.mean(axis=0),
             "std": curves.std(axis=0, ddof=1) if len(group) > 1 else np.zeros(curves.shape[1]),
@@ -436,20 +450,18 @@ def aggregate(spec: ExperimentSpec, traces: list[RegretTrace]) -> AggregateSumma
             "n_nonconverged_rounds": int(sum(tr.n_nonconverged for tr in group)),
             "n_reps_init_lambda_min_ge_1": int(sum(lam_ok)),
         }
-    derived = {}
-    for name in spec.algorithms:
         cfg = resolve_policy_config(spec, name)
         derived[name] = {
             "alpha": cfg.alpha,
             "alpha_rule": cfg.alpha_rule,
             "tau": cfg.tau,
-            "tau_rule": tau_rule_label(spec, name),
+            "tau_rule": cfg.tau_rule,
             "kappa": cfg.kappa,
             "sigma": cfg.sigma,
             "sigma0_sq": spec.sigma0_sq(),
         }
     return AggregateSummary(
-        ts=ts, stats=stats, n_reps=spec.replications, derived=derived, flags=flags
+        ts=group[0].ts, stats=stats, n_reps=spec.replications, derived=derived, flags=flags
     )
 
 
@@ -468,7 +480,8 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     # Deterministic order regardless of how the pool scheduled the units.
     order = {name: i for i, name in enumerate(spec.algorithms)}
     traces.sort(key=lambda tr: (order[tr.algorithm], tr.replication))
-    return ExperimentResult(spec=spec, summary=aggregate(spec, traces), traces=traces)
+    summary = aggregate(dict.fromkeys(spec.algorithms, spec), traces)
+    return ExperimentResult(spec=spec, summary=summary, traces=traces)
 
 
 # File output ---------------------------------------------------------------
@@ -592,14 +605,24 @@ def run_and_emit(spec: ExperimentSpec, out_dir: str) -> ExperimentResult:
     return result
 
 
+def sweep_type(param: str) -> type:
+    """The type (int or float) of a spec field that a sweep may vary.
+
+    Only numeric scalars qualify, and not T, record_every or replications:
+    every variant must share the rows of summary.csv.
+    """
+    kind = _strip_none(_field_types(ExperimentSpec).get(param))
+    if kind not in (int, float) or param in _SHAPE_FIELDS:
+        raise InvalidConfigError(f"cannot sweep over {param!r}")
+    return kind
+
+
 def sweep(spec: ExperimentSpec, param: str, values: list) -> ExperimentResult:
     """One-dimensional parameter sweep: one algorithm variant per value."""
-    if param not in _SPEC_FIELDS or param in ("algorithms", "out_dir", "fixed_contexts"):
-        raise InvalidConfigError(f"cannot sweep over {param!r}")
+    sweep_type(param)
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
     traces: list[RegretTrace] = []
-    variants: list[str] = []
     variant_specs: dict[str, ExperimentSpec] = {}
     for value in values:
         raw = spec.to_dict()
@@ -607,46 +630,13 @@ def sweep(spec: ExperimentSpec, param: str, values: list) -> ExperimentResult:
         if param == "alpha":
             raw["alpha_rule"] = "explicit"
         sub = ExperimentSpec.from_dict(raw)
-        sub_result = run_experiment(sub)
-        for trace in sub_result.traces:
-            label = f"{trace.algorithm}[{param}={fmt(float(value))}]"
-            if label not in variants:
-                variants.append(label)
-            trace.algorithm = label
+        labels = {name: f"{name}[{param}={fmt(float(value))}]" for name in sub.algorithms}
+        if any(label in variant_specs for label in labels.values()):
+            raise InvalidConfigError(f"sweep value {value!r} repeats an earlier value")
+        for trace in run_experiment(sub).traces:
+            trace.algorithm = labels[trace.algorithm]
             traces.append(trace)
-            variant_specs[label] = sub
-
-    ts = traces[0].ts
-    stats = {}
-    flags = {}
-    derived = {}
-    for label in variants:
-        group = sorted(
-            (tr for tr in traces if tr.algorithm == label), key=lambda tr: tr.replication
-        )
-        curves = np.stack([tr.cum_regret for tr in group])
-        stats[label] = {
-            "mean": curves.mean(axis=0),
-            "std": curves.std(axis=0, ddof=1) if len(group) > 1 else np.zeros(curves.shape[1]),
-            "min": curves.min(axis=0),
-            "max": curves.max(axis=0),
-        }
-        flags[label] = {
-            "n_nonconverged_rounds": int(sum(tr.n_nonconverged for tr in group)),
-        }
-        base = label.split("[", 1)[0]
-        cfg = resolve_policy_config(variant_specs[label], base)
-        derived[label] = {
-            "alpha": cfg.alpha,
-            "alpha_rule": cfg.alpha_rule,
-            "tau": cfg.tau,
-            "tau_rule": tau_rule_label(variant_specs[label], base),
-            "kappa": cfg.kappa,
-            "sigma": cfg.sigma,
-            "sigma0_sq": variant_specs[label].sigma0_sq(),
-        }
-    swept = ExperimentSpec.from_dict({**spec.to_dict(), "algorithms": list(variants)})
-    summary = AggregateSummary(
-        ts=ts, stats=stats, n_reps=spec.replications, derived=derived, flags=flags
-    )
+        variant_specs.update(dict.fromkeys(labels.values(), sub))
+    swept = ExperimentSpec.from_dict({**spec.to_dict(), "algorithms": list(variant_specs)})
+    summary = aggregate(variant_specs, traces)
     return ExperimentResult(spec=swept, summary=summary, traces=traces)

@@ -115,11 +115,6 @@ def get_link(kind: str) -> LinkFunction:
         ) from None
 
 
-def link_eval(link: LinkFunction, z: float) -> float:
-    """Evaluate mu(z) for a scalar argument."""
-    return float(link.mu(z))
-
-
 def compute_kappa(link: LinkFunction, theta_star_norm: float) -> float:
     """Smallest slope of mu over the reachable linear-predictor range.
 

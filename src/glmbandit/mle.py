@@ -43,11 +43,6 @@ class MleResult:
     final_score_norm: float
 
 
-def score_vector(link: LinkFunction, xs: np.ndarray, ys: np.ndarray, theta: np.ndarray) -> np.ndarray:
-    """Gradient of the GLM log-likelihood at theta."""
-    return _link_pass(link, xs, ys, theta)[2]
-
-
 def _link_pass(link: LinkFunction, xs: np.ndarray, ys: np.ndarray, theta: np.ndarray):
     """One link evaluation at theta: the linear predictor, the mean, the score."""
     z = xs @ theta

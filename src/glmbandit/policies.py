@@ -11,15 +11,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .design import (
-    MIN_EIGENVALUE_FLOOR,
-    DesignState,
-    min_eigenvalue,
-    weighted_norms,
-)
+from .design import DesignState, min_eigenvalue, weighted_norms
 from .errors import InvalidConfigError, SingularDesignError
 from .links import LinkFunction
-from .mle import MleResult, mle_fit
+from .mle import mle_fit
 
 ALPHA_RULES = ("explicit", "theorem2", "theorem3", "theorem4")
 
@@ -109,6 +104,7 @@ class PolicyConfig:
     delta: float
     alpha_rule: str = "explicit"
     epsilon: float = 0.0
+    tau_rule: str = "none"  # which rule produced tau, echoed in meta.json
 
     def validated(self) -> PolicyConfig:
         if min(self.T, self.d, self.K) < 1:
@@ -128,16 +124,6 @@ class PolicyConfig:
         return self
 
 
-@dataclass
-class ArmScores:
-    """Per-arm mean estimates and exploration widths."""
-
-    means: np.ndarray
-    widths: np.ndarray
-    theta: np.ndarray
-    mle: MleResult
-
-
 def greedy_argmax(scores: np.ndarray, active: list[int] | None = None) -> int:
     """Lowest index attaining the maximum, optionally within an active set."""
     if active is None:
@@ -150,39 +136,6 @@ def ucb_scores(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean estimates x'theta and widths alpha * |x|_{V^{-1}} per arm."""
     return contexts @ theta, alpha * weighted_norms(contexts, v_inv)
-
-
-def cb_glm_scores(
-    index_set,
-    contexts: np.ndarray,
-    alpha: float,
-    xs: np.ndarray,
-    ys: np.ndarray,
-    link: LinkFunction,
-    *,
-    warm_start: np.ndarray | None = None,
-    tolerance: float = 1e-8,
-    max_iterations: int = 100,
-) -> ArmScores:
-    """Scores computed from exactly the indexed observations.
-
-    ``xs``/``ys`` are the full observation log in round order; the index
-    set selects 0-based positions.  The restricted design must be
-    invertible.
-    """
-    indices = np.asarray(sorted(index_set), dtype=int)
-    if indices.size == 0:
-        raise InvalidConfigError("cb_glm_scores needs a nonempty index set")
-    sub_x = xs[indices]
-    sub_y = ys[indices]
-    v = sub_x.T @ sub_x
-    if min_eigenvalue(v) < MIN_EIGENVALUE_FLOOR:
-        raise SingularDesignError(
-            f"restricted design over {indices.size} observations is singular"
-        )
-    result = mle_fit(link, sub_x, sub_y, warm_start, tolerance, max_iterations)
-    means, widths = ucb_scores(contexts, result.theta, np.linalg.inv(v), alpha)
-    return ArmScores(means=means, widths=widths, theta=result.theta, mle=result)
 
 
 class BasePolicy:
@@ -362,25 +315,13 @@ class SupCbGlmPolicy(BasePolicy):
         self.S = int(math.floor(math.log2(config.T)))
         self.stage_sets: list[list[int]] = [[] for _ in range(self.S + 1)]
         self.init_rounds: list[int] = []
-        self.log_xs: list[np.ndarray] = []
-        self.log_ys: list[float] = []
-        self._init_design: DesignState | None = None
+        self._init_design = DesignState(config.d)
         self._init_theta: np.ndarray | None = None
         self._stage_designs: list[DesignState | None] = [None] * (self.S + 1)
         self._stage_thetas: list[np.ndarray | None] = [None] * (self.S + 1)
         self._stage_dirty = [True] * (self.S + 1)
         self._pending: int | None = None  # stage set receiving the round
         self.assignment_records: list[tuple[int, int, int, float]] = []
-
-    def _ensure_stage_designs(self) -> None:
-        if self._init_design is not None:
-            return
-        base = DesignState(self.config.d)
-        for x, y in zip(self.log_xs, self.log_ys):
-            base.update(x, y)
-        self._init_design = base
-        for s in range(1, self.S + 1):
-            self._stage_designs[s] = base.copy()
 
     def _init_fit(self) -> np.ndarray:
         if self._init_theta is None:
@@ -430,9 +371,11 @@ class SupCbGlmPolicy(BasePolicy):
             self.last_mle_converged = True
             self.last_stage = None
             return int(self.rng.integers(cfg.K))
-        self._ensure_stage_designs()
         if self.lambda_min_init is None:
+            # First round after initialization: every stage starts from F.
             self.lambda_min_init = min_eigenvalue(self._init_design.V)
+            for s in range(1, self.S + 1):
+                self._stage_designs[s] = self._init_design.copy()
         self.last_mle_converged = True
 
         active = list(range(cfg.K))
@@ -458,26 +401,15 @@ class SupCbGlmPolicy(BasePolicy):
             s += 1
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
-        self.log_xs.append(np.asarray(x, dtype=float))
-        self.log_ys.append(float(y))
         if self._pending is None:
             self.init_rounds.append(t)
+            self._init_design.update(x, y)
         else:
             self.stage_sets[self._pending].append(t)
             if self._pending >= 1:
                 self._stage_designs[self._pending].update(x, y)
                 self._stage_dirty[self._pending] = True
         self._pending = None
-
-    def partition_ok(self, t: int) -> bool:
-        """F and the stage sets partition {1..t} with no overlap."""
-        groups = [self.init_rounds, *self.stage_sets]
-        seen: set[int] = set()
-        total = 0
-        for group in groups:
-            seen.update(group)
-            total += len(group)
-        return total == t and seen == set(range(1, t + 1))
 
 
 def make_policy(

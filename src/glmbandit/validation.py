@@ -19,16 +19,25 @@ import numpy as np
 from . import rng as streams
 from .design import min_eigenvalue, weighted_norm
 from .environment import (
-    BERNOULLI_SUB_GAUSSIAN_SIGMA,
-    Environment,
+    CONTEXT_DISTRIBUTIONS,
+    NOISE_KINDS,
     draw_theta_star,
     sample_context_batch,
     second_moment_min_eig,
+    sub_gaussian_sigma,
 )
 from .errors import InvalidConfigError
-from .links import LinkFunction, compute_kappa
+from .harness import (
+    ExperimentSpec,
+    build_environment,
+    check_spec_types,
+    resolve_policy_config,
+    simulate,
+    spec_from_dict,
+)
+from .links import LinkFunction, compute_kappa, get_link
 from .mle import mle_fit
-from .policies import PolicyConfig, UcbGlmPolicy, alpha_from_rule, tau_for_ucb
+from .policies import UcbGlmPolicy
 
 
 @dataclass
@@ -69,6 +78,67 @@ class CoverageReport:
         }
 
 
+@dataclass(frozen=True)
+class ValidationSpec:
+    """The ``validate`` command's config: one flat JSON object shared by
+    the four checks, each of which reads the keys it needs."""
+
+    link: str = "identity"
+    noise: str = "gaussian"
+    d: int = 3
+    n: int = 2000
+    K: int = 5
+    T: int = 2000
+    sigma: float | None = 0.1
+    delta: float = 0.05
+    replications: int = 200
+    master_seed: int = 0
+    context_dist: str = "uniform_ball"
+    theta_norm: float = 1.0
+    tau: int | None = None
+    kappa: float | None = None
+    n_random_directions: int = 100
+    n_grid: tuple[int, ...] | None = None
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> ValidationSpec:
+        """Build a validation spec from a flat JSON mapping; unknown keys are an error."""
+        return spec_from_dict(cls, raw, "validation config")
+
+    def validate(self) -> None:
+        check_spec_types(self)
+        get_link(self.link)
+        if self.noise not in NOISE_KINDS:
+            raise InvalidConfigError(f"unknown noise kind {self.noise!r}")
+        if self.noise == "gaussian" and self.sigma is None:
+            raise InvalidConfigError("gaussian noise requires sigma")
+        # The checks draw iid contexts; there is no key for fixed ones.
+        if self.context_dist not in CONTEXT_DISTRIBUTIONS or self.context_dist == "fixed":
+            raise InvalidConfigError(f"unsupported context distribution {self.context_dist!r}")
+        if min(self.d, self.n, self.K, self.T, self.replications) < 1:
+            raise InvalidConfigError("d, n, K, T and replications must be positive")
+        if self.master_seed < 0:
+            raise InvalidConfigError("master_seed must be nonnegative")
+        if not 0 < self.delta < 1:
+            raise InvalidConfigError("delta must lie in (0, 1)")
+        if self.sigma is not None and self.sigma < 0:
+            raise InvalidConfigError("sigma must be nonnegative")
+        if self.theta_norm < 0:
+            raise InvalidConfigError("theta_norm must be nonnegative")
+        if self.tau is not None and self.tau < 0:
+            raise InvalidConfigError("tau must be nonnegative")
+        if self.kappa is not None and self.kappa <= 0:
+            raise InvalidConfigError("kappa must be positive")
+        if self.n_random_directions < 0:
+            raise InvalidConfigError("n_random_directions must be nonnegative")
+        if self.n_grid is not None and not _increasing_positive(self.n_grid):
+            raise InvalidConfigError("n_grid must be increasing and positive")
+
+
+def _increasing_positive(n_grid) -> bool:
+    return len(n_grid) > 0 and n_grid[0] >= 1 and sorted(n_grid) == list(n_grid)
+
+
 def probe_directions(d: int, n_random: int, master_seed: int = 0) -> np.ndarray:
     """Standard basis plus seeded random unit vectors."""
     gen = streams.stream(master_seed, 0, streams.DIRECTIONS)
@@ -77,14 +147,6 @@ def probe_directions(d: int, n_random: int, master_seed: int = 0) -> np.ndarray:
         z = gen.standard_normal((n_random, d))
         dirs.append(z / np.linalg.norm(z, axis=1)[:, None])
     return np.vstack(dirs)
-
-
-def _noise_sigma(noise: str, sigma: float | None) -> float:
-    if noise == "bernoulli":
-        return BERNOULLI_SUB_GAUSSIAN_SIGMA
-    if sigma is None:
-        raise InvalidConfigError("gaussian noise requires sigma")
-    return float(sigma)
 
 
 def _draw_sample(
@@ -156,7 +218,7 @@ def theorem1_coverage(
     """
     if n < d:
         raise InvalidConfigError("theorem1 check needs n >= d")
-    sig = _noise_sigma(noise, sigma)
+    sig = sub_gaussian_sigma(noise, sigma)
     directions = np.asarray(directions, dtype=float)
     hits = 0
     nonconvergent = 0
@@ -242,7 +304,7 @@ def proposition1_growth(
     Passes when the median of lambda_min(V_n)/n at the largest grid point
     is within 10% of lambda_min(E[X X']).
     """
-    if sorted(n_grid) != list(n_grid) or len(n_grid) == 0 or n_grid[0] < 1:
+    if not _increasing_positive(n_grid):
         raise InvalidConfigError("n_grid must be increasing and positive")
     target = second_moment_min_eig(context_dist, d)
     ratios = np.empty((replications, len(n_grid)))
@@ -300,53 +362,37 @@ def run_ucb_glm_instrumented(
     kappa: float | None = None,
     master_seed: int = 0,
 ) -> list[UcbRunStats]:
-    """Run UCB-GLM replications, recording the per-round quantities the
-    trajectory inequalities talk about."""
-    sig = _noise_sigma(noise, sigma)
-    kap = kappa if kappa is not None else compute_kappa(link, theta_norm)
-    sigma0 = second_moment_min_eig(context_dist, d)
-    tau_val = tau if tau is not None else tau_for_ucb(d, delta, sigma0)
-    if tau_val >= T:
-        raise InvalidConfigError(f"tau={tau_val} leaves no rounds below T={T}")
-    alpha = alpha_from_rule(
-        "theorem2", T=T, d=d, K=K, delta=delta, sigma=sig, kappa=kap
+    """Run UCB-GLM replications through the harness's ``simulate`` with the
+    ``theorem2`` width, recording the per-round quantities the trajectory
+    inequalities talk about."""
+    spec = ExperimentSpec(
+        T=T, d=d, K=K, link=link.kind, noise=noise, algorithms=("ucb-glm",), sigma=sigma,
+        context_dist=context_dist, theta_norm=theta_norm, alpha_rule="theorem2", tau=tau,
+        delta=delta, kappa=kappa, replications=replications, master_seed=master_seed,
+        record_every=T,
     )
-    config = PolicyConfig(
-        T=T, d=d, K=K, alpha=alpha, tau=tau_val, kappa=kap, sigma=sig, delta=delta,
-        alpha_rule="theorem2",
-    )
+    spec.validate()
+    config = resolve_policy_config(spec, "ucb-glm")
+    if config.tau >= T:
+        raise InvalidConfigError(f"tau={config.tau} leaves no rounds below T={T}")
     runs = []
     for rep in range(replications):
-        env = Environment.build(
-            d=d,
-            K=K,
-            link=link,
-            noise=noise,
-            sigma=sig,
-            context_dist=context_dist,
-            theta_norm=theta_norm,
-            master_seed=master_seed,
-            replication=rep,
-        )
-        policy = UcbGlmPolicy(
-            config, link, streams.stream(master_seed, rep, streams.POLICY)
-        )
+        env = build_environment(spec, rep)
+        policy = UcbGlmPolicy(config, link, streams.stream(master_seed, rep, streams.POLICY))
         ts, delta_norms, widths = [], [], []
-        for t in range(1, T + 1):
-            contexts = env.sample_contexts()
-            arm = policy.select(t, contexts)
-            x = contexts[arm]
-            if t > tau_val:
-                diff = policy.theta - env.theta_star
+
+        def observe(t: int, x: np.ndarray) -> None:
+            if t > config.tau:
                 ts.append(t)
-                delta_norms.append(weighted_norm(diff, policy.design.V))
+                delta_norms.append(weighted_norm(policy.theta - env.theta_star, policy.design.V))
                 widths.append(weighted_norm(x, policy.design.inverse()))
-            y = env.sample_reward(x)
-            policy.update(t, arm, x, y)
+
+        # Only round T enters the trace; the observer keeps what the checks need.
+        simulate(env, policy, T, record_every=T, observe=observe)
         runs.append(
             UcbRunStats(
                 d=d,
-                tau=tau_val,
+                tau=config.tau,
                 lambda_min_init=float(policy.lambda_min_init),
                 ts=np.array(ts, dtype=int),
                 delta_vt_norms=np.array(delta_norms),
@@ -456,7 +502,7 @@ def znorm_bound_check(
     Z = sum eps_i X_i under iid contexts with known realized noise."""
     if n < d:
         raise InvalidConfigError("znorm check needs n >= d")
-    sig = _noise_sigma(noise, sigma)
+    sig = sub_gaussian_sigma(noise, sigma)
     hits = 0
     hit_flags = []
     bound = 4.0 * sig * math.sqrt(d + math.log(1.0 / delta))

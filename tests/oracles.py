@@ -4,10 +4,15 @@ These deliberately avoid the code paths they verify: the MLE oracle is
 first-order only (no Newton, no Fisher solves), the reference Newton loop
 keeps the plain per-step evaluations that the library's loop reuses or
 skips, and the eigenvalue oracle brackets a root of the characteristic
-polynomial instead of calling a symmetric eigensolver.
+polynomial instead of calling a symmetric eigensolver.  The module also
+keeps the helpers that only tests use (score vectors, per-index stage
+scores, regret of one round, the SupCB-GLM partition check) and the
+instrumented UCB-GLM runner's own loop as a reference.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -196,3 +201,170 @@ def random_logistic_instance(link, gen: np.random.Generator, d_max=5, n_max=200)
         fit = mle_fit(link, xs, ys)
         if fit.converged and np.abs(fit.theta).max() <= 10.0:
             return xs, ys, fit
+
+
+# Test-only helpers that once lived in the library ---------------------------
+
+
+def score_vector(link, xs, ys, theta):
+    """Gradient of the GLM log-likelihood at theta."""
+    return xs.T @ (ys - link.mu(xs @ theta))
+
+
+def link_eval(link, z: float) -> float:
+    """Evaluate mu(z) for a scalar argument."""
+    return float(link.mu(z))
+
+
+def optimal_arm(env, contexts: np.ndarray) -> int:
+    # mu is strictly increasing, so the linear scale has the same argmax.
+    return int(np.argmax(contexts @ env.theta_star))
+
+
+def instantaneous_regret(env, contexts: np.ndarray, chosen: int) -> float:
+    means = env.arm_means(contexts)
+    return float(means.max() - means[chosen])
+
+
+def partition_ok(policy, t: int) -> bool:
+    """A SupCB-GLM policy's F and stage sets partition {1..t} with no overlap."""
+    groups = [policy.init_rounds, *policy.stage_sets]
+    seen: set[int] = set()
+    total = 0
+    for group in groups:
+        seen.update(group)
+        total += len(group)
+    return total == t and seen == set(range(1, t + 1))
+
+
+@dataclass
+class ArmScores:
+    """Per-arm mean estimates and exploration widths."""
+
+    means: np.ndarray
+    widths: np.ndarray
+    theta: np.ndarray
+    mle: object
+
+
+def cb_glm_scores(
+    index_set,
+    contexts: np.ndarray,
+    alpha: float,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    link,
+    *,
+    warm_start: np.ndarray | None = None,
+    tolerance: float = 1e-8,
+    max_iterations: int = 100,
+) -> ArmScores:
+    """SupCB-GLM stage scores computed from exactly the indexed observations.
+
+    ``xs``/``ys`` are the full observation log in round order; the index
+    set selects 0-based positions.  The restricted design must be
+    invertible.
+    """
+    from glmbandit.design import MIN_EIGENVALUE_FLOOR, min_eigenvalue
+    from glmbandit.errors import InvalidConfigError, SingularDesignError
+    from glmbandit.mle import mle_fit
+    from glmbandit.policies import ucb_scores
+
+    indices = np.asarray(sorted(index_set), dtype=int)
+    if indices.size == 0:
+        raise InvalidConfigError("cb_glm_scores needs a nonempty index set")
+    sub_x = xs[indices]
+    sub_y = ys[indices]
+    v = sub_x.T @ sub_x
+    if min_eigenvalue(v) < MIN_EIGENVALUE_FLOOR:
+        raise SingularDesignError(
+            f"restricted design over {indices.size} observations is singular"
+        )
+    result = mle_fit(link, sub_x, sub_y, warm_start, tolerance, max_iterations)
+    means, widths = ucb_scores(contexts, result.theta, np.linalg.inv(v), alpha)
+    return ArmScores(means=means, widths=widths, theta=result.theta, mle=result)
+
+
+def reference_run_ucb_glm_instrumented(
+    link,
+    d: int,
+    K: int,
+    T: int,
+    delta: float,
+    sigma: float | None,
+    replications: int,
+    *,
+    noise: str = "bernoulli",
+    context_dist: str = "uniform_ball",
+    theta_norm: float = 1.0,
+    tau: int | None = None,
+    kappa: float | None = None,
+    master_seed: int = 0,
+):
+    """The instrumented UCB-GLM runner as first written, with its own round
+    loop and its own tuning; the bit-identity reference for
+    ``validation.run_ucb_glm_instrumented``, which now drives the harness's
+    ``simulate``."""
+    from glmbandit import rng as streams
+    from glmbandit.design import weighted_norm
+    from glmbandit.environment import (
+        BERNOULLI_SUB_GAUSSIAN_SIGMA,
+        Environment,
+        second_moment_min_eig,
+    )
+    from glmbandit.errors import InvalidConfigError
+    from glmbandit.links import compute_kappa
+    from glmbandit.policies import PolicyConfig, UcbGlmPolicy, alpha_from_rule, tau_for_ucb
+    from glmbandit.validation import UcbRunStats
+
+    if noise == "bernoulli":
+        sig = BERNOULLI_SUB_GAUSSIAN_SIGMA
+    elif sigma is None:
+        raise InvalidConfigError("gaussian noise requires sigma")
+    else:
+        sig = float(sigma)
+    kap = kappa if kappa is not None else compute_kappa(link, theta_norm)
+    sigma0 = second_moment_min_eig(context_dist, d)
+    tau_val = tau if tau is not None else tau_for_ucb(d, delta, sigma0)
+    if tau_val >= T:
+        raise InvalidConfigError(f"tau={tau_val} leaves no rounds below T={T}")
+    alpha = alpha_from_rule(
+        "theorem2", T=T, d=d, K=K, delta=delta, sigma=sig, kappa=kap
+    )
+    config = PolicyConfig(
+        T=T, d=d, K=K, alpha=alpha, tau=tau_val, kappa=kap, sigma=sig, delta=delta,
+        alpha_rule="theorem2",
+    )
+    runs = []
+    for rep in range(replications):
+        env = Environment.build(
+            d=d, K=K, link=link, noise=noise, sigma=sig, context_dist=context_dist,
+            theta_norm=theta_norm, master_seed=master_seed, replication=rep,
+        )
+        policy = UcbGlmPolicy(
+            config, link, streams.stream(master_seed, rep, streams.POLICY)
+        )
+        ts, delta_norms, widths = [], [], []
+        for t in range(1, T + 1):
+            contexts = env.sample_contexts()
+            arm = policy.select(t, contexts)
+            x = contexts[arm]
+            if t > tau_val:
+                diff = policy.theta - env.theta_star
+                ts.append(t)
+                delta_norms.append(weighted_norm(diff, policy.design.V))
+                widths.append(weighted_norm(x, policy.design.inverse()))
+            y = env.sample_reward(x)
+            policy.update(t, arm, x, y)
+        runs.append(
+            UcbRunStats(
+                d=d,
+                tau=tau_val,
+                lambda_min_init=float(policy.lambda_min_init),
+                ts=np.array(ts, dtype=int),
+                delta_vt_norms=np.array(delta_norms),
+                chosen_widths=np.array(widths),
+                n_nonconverged=policy.n_nonconverged,
+            )
+        )
+    return runs

@@ -32,7 +32,12 @@ from glmbandit.validation import (
 )
 from glmbandit import rng as streams
 
-from oracles import grad_ascent_mle, random_logistic_instance
+from oracles import (
+    grad_ascent_mle,
+    instantaneous_regret,
+    partition_ok,
+    random_logistic_instance,
+)
 
 
 def report(criterion: str, ok: bool, detail: str) -> None:
@@ -175,7 +180,7 @@ def test_criterion_7_supcb_structure_and_band():
     )
     sup_cfg = resolve_policy_config(spec, "supcb-glm")
     link = get_link(spec.link)
-    partition_ok = True
+    partitioned = True
     sup_finals = []
     for rep in range(spec.replications):
         env = build_environment(spec, rep)
@@ -189,12 +194,12 @@ def test_criterion_7_supcb_structure_and_band():
             arm = policy.select(t, contexts)
             x = contexts[arm]
             policy.update(t, arm, x, env.sample_reward(x))
-            cum += env.instantaneous_regret(contexts, arm)
+            cum += instantaneous_regret(env, contexts, arm)
             count = len(policy.init_rounds) + sum(len(s) for s in policy.stage_sets)
             if count != t:
-                partition_ok = False
-        if not policy.partition_ok(spec.T):
-            partition_ok = False
+                partitioned = False
+        if not partition_ok(policy, spec.T):
+            partitioned = False
         sup_finals.append(cum)
 
     ucb_finals = [
@@ -206,8 +211,8 @@ def test_criterion_7_supcb_structure_and_band():
     within_band = sup_mean <= 3.0 * ucb_mean
     report(
         "criterion 7 (staged-policy partition + regret band, 20 runs)",
-        partition_ok and within_band,
-        f"partition {'ok' if partition_ok else 'BROKEN'}, "
+        partitioned and within_band,
+        f"partition {'ok' if partitioned else 'BROKEN'}, "
         f"R_sup {sup_mean:.0f} vs 3x R_ucb {3 * ucb_mean:.0f}",
     )
 

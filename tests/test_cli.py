@@ -51,7 +51,18 @@ def test_invalid_config_exits_1(tmp_path, capsys):
     assert "bogus_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("overrides", [{"sigma": float("nan")}, {"theta_norm": -1.0}])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sigma": float("nan")},
+        {"theta_norm": -1.0},
+        {"T": "50"},
+        {"T": True},
+        {"theta_star": ["abc", 1]},
+        {"algorithms": "uniform"},
+        {"master_seed": -1},
+    ],
+)
 def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrides, capsys):
     raw = json.loads(open(run_config).read())
     raw.update(overrides)
@@ -123,6 +134,23 @@ def test_validate_lemma4(tmp_path):
     assert report["nominal"] == pytest.approx(0.95)
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{"sigma": float("nan")}, {"d": "3"}, {"delta": 2.0}, {"replications": 0}],
+    ids=["sigma-nan", "d-str", "delta-2", "replications-0"],
+)
+@pytest.mark.parametrize("check", ["theorem1", "lemma4"])
+def test_validate_bad_values_exit_1(tmp_path, capsys, overrides, check):
+    raw = dict(link="identity", d=2, n=50, K=3, T=60, tau=10, sigma=0.1, delta=0.05,
+               replications=3, master_seed=1)
+    raw.update(overrides)
+    cfg = write_json(tmp_path / "val.json", raw)
+    out = tmp_path / "reports"
+    assert cli_main(["validate", "--check", check, "--config", cfg, "--out", str(out)]) == 1
+    assert next(iter(overrides)) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_validate_unknown_key_exits_1(tmp_path):
     cfg = write_json(tmp_path / "val.json", dict(link="identity", horizon=5))
     assert cli_main(["validate", "--check", "theorem1", "--config", cfg]) == 1
@@ -152,6 +180,29 @@ def test_sweep_creates_variants(tmp_path, run_config):
 
 def test_sweep_bad_values_exit_1(tmp_path, run_config):
     assert cli_main(["sweep", "--config", run_config, "--param", "alpha", "--values", "a,b"]) == 1
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [("T", "40,20"), ("record_every", "10,5"), ("replications", "1,3"), ("link", "1")],
+)
+def test_sweep_over_unsweepable_param_exits_1(tmp_path, run_config, capsys, param, values):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", run_config, "--param", param, "--values", values,
+            "--out", str(out)]
+    assert cli_main(argv) == 1
+    assert param in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_over_integer_param_parses_integers(tmp_path, run_config):
+    out = tmp_path / "sweep"
+    argv = ["sweep", "--config", run_config, "--param", "tau", "--values", "6,9",
+            "--out", str(out)]
+    assert cli_main(argv) == 0
+    meta = json.loads((out / "meta.json").read_text())
+    assert [meta["derived"][label]["tau"] for label in meta["spec"]["algorithms"]] == [6, 9]
+    assert cli_main(["sweep", "--config", run_config, "--param", "tau", "--values", "6.5"]) == 1
 
 
 def test_seed_override_changes_output(tmp_path, run_config):

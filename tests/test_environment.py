@@ -7,9 +7,12 @@ from glmbandit.environment import (
     draw_theta_star,
     sample_context_batch,
     second_moment_min_eig,
+    sub_gaussian_sigma,
 )
 from glmbandit.errors import InvalidConfigError
 from glmbandit.links import IDENTITY, LOGISTIC, get_link
+
+from oracles import instantaneous_regret, optimal_arm
 
 
 def _env(**overrides):
@@ -114,13 +117,13 @@ def test_instantaneous_regret_examples():
     env = _env(d=2, K=2, link=IDENTITY, noise="gaussian", sigma=0.1,
                theta_star=np.array([1.0, 0.0]))
     contexts = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert env.instantaneous_regret(contexts, env.optimal_arm(contexts)) == 0.0
-    assert env.instantaneous_regret(contexts, 1) == pytest.approx(1.0)
+    assert instantaneous_regret(env, contexts, optimal_arm(env, contexts)) == 0.0
+    assert instantaneous_regret(env, contexts, 1) == pytest.approx(1.0)
 
     env_log = _env(d=2, K=2, theta_star=np.array([1.0, 0.0]))
     contexts = np.array([[1.0, 0.0], [-1.0, 0.0]])
     # mu(1) - mu(-1) = tanh(1/2)
-    assert env_log.instantaneous_regret(contexts, 1) == pytest.approx(
+    assert instantaneous_regret(env_log, contexts, 1) == pytest.approx(
         np.tanh(0.5), abs=1e-12
     )
 
@@ -129,10 +132,10 @@ def test_regret_nonnegative_and_zero_for_optimal():
     env = _env()
     for _ in range(200):
         contexts = env.sample_contexts()
-        best = env.optimal_arm(contexts)
-        assert env.instantaneous_regret(contexts, best) == 0.0
+        best = optimal_arm(env, contexts)
+        assert instantaneous_regret(env, contexts, best) == 0.0
         for arm in range(env.K):
-            assert env.instantaneous_regret(contexts, arm) >= 0.0
+            assert instantaneous_regret(env, contexts, arm) >= 0.0
 
 
 def test_linear_and_mu_scale_argmax_agree():
@@ -145,8 +148,11 @@ def test_linear_and_mu_scale_argmax_agree():
 
 
 def test_sub_gaussian_sigma():
-    assert _env().sub_gaussian_sigma == 0.5
-    assert _env(link=IDENTITY, noise="gaussian", sigma=0.2).sub_gaussian_sigma == 0.2
+    assert sub_gaussian_sigma("bernoulli", None) == 0.5
+    assert sub_gaussian_sigma("bernoulli", 0.2) == 0.5
+    assert sub_gaussian_sigma("gaussian", 0.2) == 0.2
+    with pytest.raises(InvalidConfigError, match="sigma"):
+        sub_gaussian_sigma("gaussian", None)
 
 
 def test_environment_field_validation():

@@ -1,9 +1,11 @@
+import dataclasses
 import json
 import math
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmbandit.errors import InvalidConfigError
 from glmbandit.harness import (
@@ -48,6 +50,16 @@ def test_unknown_algorithm_rejected():
         base_spec(algorithms=["thompson"])
 
 
+def test_repeated_algorithm_rejected():
+    with pytest.raises(InvalidConfigError, match="repeat"):
+        base_spec(algorithms=["uniform", "uniform"])
+
+
+def test_negative_master_seed_rejected():
+    with pytest.raises(InvalidConfigError, match="master_seed"):
+        base_spec(master_seed=-1)
+
+
 def test_zero_replications_rejected_before_any_output():
     with pytest.raises(InvalidConfigError):
         base_spec(replications=0)
@@ -84,6 +96,90 @@ def test_non_finite_or_non_numeric_values_rejected(overrides):
     name = next(iter(overrides))
     with pytest.raises(InvalidConfigError, match=name):
         base_spec(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"T": "50"},
+        {"replications": "2"},
+        {"T": True},
+        {"tau": 10.0},
+        {"master_seed": None},
+        {"theta_star": ["abc", 1]},
+        {"theta_star": 0.5},
+        {"algorithms": "uniform"},
+        {"algorithms": ["uniform", 3]},
+        {"link": 1},
+        {"out_dir": ["results"]},
+    ],
+    ids=lambda raw: ",".join(f"{k}={v!r}" for k, v in raw.items()),
+)
+def test_values_of_the_wrong_type_rejected(overrides):
+    name = next(iter(overrides))
+    with pytest.raises(InvalidConfigError, match=name):
+        base_spec(**overrides)
+
+
+def test_direct_construction_checks_field_types():
+    spec = base_spec()
+    with pytest.raises(InvalidConfigError, match="T"):
+        dataclasses.replace(spec, T="50").validate()
+
+
+def test_list_entries_become_floats():
+    spec = base_spec(theta_star=[1, 0])
+    assert spec.theta_star == (1.0, 0.0)
+    assert all(type(v) is float for v in spec.theta_star)
+
+
+_FINITE = st.floats(-1.0, 1.0)
+_EXPERIMENT_SPECS = st.builds(
+    ExperimentSpec,
+    T=st.integers(1, 10**6),
+    d=st.just(2),
+    K=st.just(3),
+    link=st.sampled_from(["identity", "logistic", "probit"]),
+    noise=st.just("gaussian"),
+    algorithms=st.lists(
+        st.sampled_from(["ucb-glm", "supcb-glm", "uniform", "greedy", "oracle"]),
+        min_size=1,
+        unique=True,
+    ).map(tuple),
+    sigma=st.floats(0.0, 10.0),
+    context_dist=st.just("fixed"),
+    fixed_contexts=st.tuples(*[st.tuples(_FINITE, _FINITE)] * 3),
+    theta_norm=st.floats(0.0, 5.0),
+    theta_star=st.none() | st.tuples(_FINITE, _FINITE),
+    alpha=st.none() | st.floats(0.0, 100.0),
+    alpha_rule=st.none() | st.sampled_from(["explicit", "theorem2", "theorem3", "theorem4"]),
+    tau=st.none() | st.just(1),
+    delta=st.floats(1e-6, 0.999),
+    epsilon=st.floats(0.0, 1.0),
+    kappa=st.none() | st.floats(1e-6, 1.0),
+    replications=st.integers(1, 100),
+    master_seed=st.integers(0, 2**32 - 1),
+    record_every=st.integers(1, 1000),
+    out_dir=st.none() | st.text(max_size=10),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_EXPERIMENT_SPECS)
+def test_spec_round_trip(spec):
+    spec.validate()
+    raw = json.loads(json.dumps(spec.to_dict()))
+    assert ExperimentSpec.from_dict(raw) == spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["sigma", "theta_norm", "alpha", "delta", "epsilon", "kappa", "theta_star"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_spec_rejects_non_finite(name, value):
+    with pytest.raises(InvalidConfigError, match=name):
+        base_spec(**{name: [0.5, value] if name == "theta_star" else value})
 
 
 def test_ragged_fixed_contexts_rejected():
@@ -315,6 +411,57 @@ def test_sweep_rejects_bad_param():
         sweep(spec, "algorithms", [1])
     with pytest.raises(InvalidConfigError):
         sweep(spec, "alpha", [])
+
+
+@pytest.mark.parametrize(
+    "param, values",
+    [("T", [40, 20]), ("T", [20, 40]), ("record_every", [10, 5]), ("replications", [1, 3])],
+)
+def test_sweep_rejects_parameters_that_change_the_rows(param, values):
+    spec = base_spec(algorithms=["uniform"], T=40, replications=1)
+    with pytest.raises(InvalidConfigError, match=param):
+        sweep(spec, param, values)
+
+
+@pytest.mark.parametrize(
+    "param", ["link", "noise", "context_dist", "theta_star", "out_dir", "bogus"]
+)
+def test_sweep_rejects_non_numeric_parameters(param):
+    spec = base_spec(algorithms=["uniform"], replications=1)
+    with pytest.raises(InvalidConfigError, match=param):
+        sweep(spec, param, [1])
+
+
+def test_sweep_rejects_repeated_values():
+    spec = base_spec(algorithms=["uniform"], replications=1)
+    with pytest.raises(InvalidConfigError, match="repeats"):
+        sweep(spec, "epsilon", [0.5, 0.5])
+
+
+def test_sweep_writes_the_flags_run_writes(tmp_path):
+    spec = base_spec(algorithms=["ucb-glm", "uniform"])
+    emit_csv(run_experiment(spec), str(tmp_path / "run"))
+    emit_csv(sweep(spec, "delta", [0.05, 0.1]), str(tmp_path / "sweep"))
+    run_meta = json.loads((tmp_path / "run" / "meta.json").read_text())
+    sweep_meta = json.loads((tmp_path / "sweep" / "meta.json").read_text())
+    assert len(sweep_meta["flags"]) == 4
+    for flags in sweep_meta["flags"].values():
+        assert flags.keys() == run_meta["flags"]["ucb-glm"].keys()
+    for derived in sweep_meta["derived"].values():
+        assert derived.keys() == run_meta["derived"]["ucb-glm"].keys()
+
+
+def test_sweep_variant_matches_a_plain_run():
+    spec = base_spec(algorithms=["ucb-glm", "uniform"])
+    swept = sweep(spec, "delta", [0.1])
+    plain = run_experiment(dataclasses.replace(spec, delta=0.1))
+    for name in spec.algorithms:
+        label = f"{name}[delta=0.1]"
+        for key in ("mean", "std", "min", "max"):
+            assert np.array_equal(swept.summary.stats[label][key], plain.summary.stats[name][key])
+        assert swept.summary.flags[label] == plain.summary.flags[name]
+        assert swept.summary.derived[label] == plain.summary.derived[name]
+    assert np.array_equal(swept.summary.ts, plain.summary.ts)
 
 
 def test_paired_replications_share_environment():

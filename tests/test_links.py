@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from glmbandit.errors import InvalidConfigError
-from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, compute_kappa, get_link, link_eval
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, compute_kappa, get_link
+
+from oracles import link_eval
 
 ALL_LINKS = [IDENTITY, LOGISTIC, PROBIT]
 GRID = np.linspace(-10.0, 10.0, 2001)

@@ -8,9 +8,9 @@ from glmbandit import mle
 from glmbandit.design import min_eigenvalue
 from glmbandit.errors import SingularFisherError
 from glmbandit.links import IDENTITY, LOGISTIC, PROBIT
-from glmbandit.mle import mle_fit, score_vector
+from glmbandit.mle import mle_fit
 
-from oracles import grad_ascent_mle, random_logistic_instance, reference_mle_fit
+from oracles import grad_ascent_mle, random_logistic_instance, reference_mle_fit, score_vector
 
 LINKS = {link.kind: link for link in (IDENTITY, LOGISTIC, PROBIT)}
 

@@ -15,7 +15,6 @@ from glmbandit.policies import (
     UcbGlmPolicy,
     UniformRandomPolicy,
     alpha_from_rule,
-    cb_glm_scores,
     greedy_argmax,
     make_policy,
     stage_decision,
@@ -24,6 +23,8 @@ from glmbandit.policies import (
     tau_for_ucb,
     ucb_scores,
 )
+
+from oracles import cb_glm_scores, partition_ok
 
 
 def config(**overrides):
@@ -364,16 +365,19 @@ def _run_supcb(T=300, d=2, K=3, seed=8, link=LOGISTIC, noise="bernoulli", sigma=
     cfg = PolicyConfig(T=T, d=d, K=K, alpha=alpha, tau=tau, kappa=0.1,
                        sigma=0.5, delta=0.05)
     policy = SupCbGlmPolicy(cfg, link, streams.stream(seed, 0, streams.POLICY))
-    context_log = []
+    log = {"contexts": [], "xs": [], "ys": []}
     for t in range(1, T + 1):
         contexts = env.sample_contexts()
-        context_log.append(contexts)
         arm = policy.select(t, contexts)
         x = contexts[arm]
-        policy.update(t, arm, x, env.sample_reward(x))
+        y = env.sample_reward(x)
+        policy.update(t, arm, x, y)
+        log["contexts"].append(contexts)
+        log["xs"].append(x)
+        log["ys"].append(y)
         if check_each_round is not None:
             check_each_round(policy, t)
-    return policy, context_log
+    return policy, log
 
 
 def test_supcb_partition_invariant_every_round():
@@ -382,19 +386,20 @@ def test_supcb_partition_invariant_every_round():
         assert sizes == t
 
     policy, _ = _run_supcb(check_each_round=check)
-    assert policy.partition_ok(300)
+    assert partition_ok(policy, 300)
 
 
 def test_supcb_stage_assignment_matches_width_rule():
-    policy, context_log = _run_supcb(T=250)
+    policy, log = _run_supcb(T=250)
     assert policy.assignment_records, "no exploration assignments happened"
-    xs = np.vstack(policy.log_xs)
-    ys = np.array(policy.log_ys)
+    xs = np.vstack(log["xs"])
+    ys = np.array(log["ys"])
     checked = 0
     for t, s, arm, width in policy.assignment_records[:40]:
         members = [i - 1 for i in policy.stage_sets[s] if i < t]
         members += [i - 1 for i in policy.init_rounds]
-        scores = cb_glm_scores(members, context_log[t - 1], policy.config.alpha, xs, ys, LOGISTIC)
+        contexts = log["contexts"][t - 1]
+        scores = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
         assert scores.widths[arm] == pytest.approx(width, rel=1e-6)
         assert width > 2.0 ** (-s)
         checked += 1
@@ -402,10 +407,10 @@ def test_supcb_stage_assignment_matches_width_rule():
 
 
 def test_supcb_stage_scores_match_pure_op():
-    policy, context_log = _run_supcb(T=200)
-    contexts = context_log[-1]
-    xs = np.vstack(policy.log_xs)
-    ys = np.array(policy.log_ys)
+    policy, log = _run_supcb(T=200)
+    contexts = log["contexts"][-1]
+    xs = np.vstack(log["xs"])
+    ys = np.array(log["ys"])
     members = [i - 1 for i in policy.stage_sets[1]] + [i - 1 for i in policy.init_rounds]
     pure = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
     means, widths = policy._stage_scores(1, contexts)

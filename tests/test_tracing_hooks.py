@@ -1,0 +1,45 @@
+"""The benchmark's traced run (perfbench/tracing.py) wraps glmbandit's
+functions and methods by name from outside the package. A rename in the
+package must fail this suite rather than break or silently thin the trace."""
+
+import importlib.util
+from pathlib import Path
+
+from glmbandit import validation
+from glmbandit.links import LOGISTIC
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_wraps_every_named_hook_and_restores_it():
+    tracing = _load_tracing()
+    originals = {
+        (module, attr): getattr(module, attr) for module, attr, _ in tracing.MODULE_FUNCTIONS
+    }
+    for cls, names in tracing.METHODS:
+        for name in names:
+            assert hasattr(cls, name), f"{cls.__name__}.{name}"
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for (module, attr), original in originals.items():
+            assert getattr(module, attr) is not original, f"{module.__name__}.{attr}"
+        runs = validation.run_ucb_glm_instrumented(
+            LOGISTIC, 2, 3, 40, 0.05, None, 1, noise="bernoulli", tau=10
+        )
+    finally:
+        tracer.uninstall()
+    for (module, attr), original in originals.items():
+        assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+    assert len(runs) == 1
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["validation.mc_reps"] == 1.0
+    assert metrics["policies.selects"] == 40.0
+    assert metrics["harness.loop_self_s"] > 0.0

@@ -1,8 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from glmbandit.errors import InvalidConfigError
 from glmbandit.links import IDENTITY, LOGISTIC
 from glmbandit.validation import (
+    UcbRunStats,
+    ValidationSpec,
     estimate_ellipsoid_bound,
     lemma4_event_coverage,
     normality_condition_threshold,
@@ -13,6 +20,8 @@ from glmbandit.validation import (
     width_sum_check,
     znorm_bound_check,
 )
+
+from oracles import reference_run_ucb_glm_instrumented
 
 
 def test_probe_directions_are_unit_vectors():
@@ -164,6 +173,110 @@ def test_instrumented_runs_are_deterministic():
     for ra, rb in zip(a, b):
         assert np.array_equal(ra.delta_vt_norms, rb.delta_vt_norms)
         assert np.array_equal(ra.chosen_widths, rb.chosen_widths)
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        # The benchmark's lemma4 shape at its reference and held-out seeds.
+        *[
+            ((LOGISTIC, 3, 5, 2000, 0.05, None, 2),
+             dict(noise="bernoulli", theta_norm=1.0, master_seed=seed))
+            for seed in (2024, 7, 8191)
+        ],
+        ((IDENTITY, 2, 3, 120, 0.05, 0.0, 5), dict(noise="gaussian", tau=12, master_seed=9)),
+        ((LOGISTIC, 3, 4, 300, 0.1, None, 3),
+         dict(noise="bernoulli", tau=40, kappa=0.15, master_seed=21)),
+    ],
+    ids=["bench-2024", "bench-7", "bench-8191", "identity-noiseless", "explicit-tau-kappa"],
+)
+def test_instrumented_runs_match_reference_loop(args, kwargs):
+    runs = run_ucb_glm_instrumented(*args, **kwargs)
+    reference = reference_run_ucb_glm_instrumented(*args, **kwargs)
+    assert len(runs) == len(reference) == args[-1]
+    for run, ref in zip(runs, reference):
+        for f in dataclasses.fields(UcbRunStats):
+            assert np.array_equal(getattr(run, f.name), getattr(ref, f.name)), f.name
+
+
+def test_instrumented_runs_need_rounds_after_tau():
+    with pytest.raises(InvalidConfigError, match="tau"):
+        run_ucb_glm_instrumented(IDENTITY, 2, 3, 50, 0.05, 0.1, 1, noise="gaussian", tau=50)
+
+
+# Validation config -----------------------------------------------------------
+
+
+def test_validation_spec_defaults_and_unknown_keys():
+    assert ValidationSpec.from_dict({}) == ValidationSpec()
+    with pytest.raises(InvalidConfigError, match="horizon"):
+        ValidationSpec.from_dict({"horizon": 5})
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"sigma": math.nan},
+        {"sigma": -0.1},
+        {"d": "3"},
+        {"d": True},
+        {"delta": 2.0},
+        {"delta": math.inf},
+        {"replications": 0},
+        {"theta_norm": -1.0},
+        {"kappa": 0.0},
+        {"tau": -1},
+        {"master_seed": -1},
+        {"n_grid": [100, 50]},
+        {"n_grid": [0, 10]},
+        {"n_grid": "100"},
+        {"link": "cauchit"},
+        {"noise": "poisson"},
+        {"context_dist": "fixed"},
+        {"noise": "gaussian", "sigma": None},
+    ],
+    ids=lambda raw: ",".join(f"{k}={v!r}" for k, v in raw.items()),
+)
+def test_validation_spec_rejects_bad_values(raw):
+    with pytest.raises(InvalidConfigError):
+        ValidationSpec.from_dict(raw)
+
+
+_VALIDATION_SPECS = st.builds(
+    ValidationSpec,
+    link=st.sampled_from(["identity", "logistic", "probit"]),
+    noise=st.just("gaussian"),
+    d=st.integers(1, 10),
+    n=st.integers(1, 10**5),
+    sigma=st.floats(0.0, 10.0),
+    delta=st.floats(1e-6, 0.999),
+    replications=st.integers(1, 10**4),
+    master_seed=st.integers(0, 2**32 - 1),
+    context_dist=st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized"]),
+    theta_norm=st.floats(0.0, 5.0),
+    tau=st.none() | st.integers(0, 10**4),
+    kappa=st.none() | st.floats(1e-6, 1.0),
+    n_grid=st.none() | st.lists(st.integers(1, 10**5), min_size=1).map(lambda g: tuple(sorted(g))),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_VALIDATION_SPECS)
+def test_validation_spec_round_trip(spec):
+    raw = {f.name: getattr(spec, f.name) for f in dataclasses.fields(spec)}
+    if spec.n_grid is not None:
+        raw["n_grid"] = list(spec.n_grid)  # as JSON would carry it
+    assert ValidationSpec.from_dict(raw) == spec
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(["sigma", "delta", "theta_norm", "kappa"]),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+)
+def test_validation_spec_rejects_non_finite(name, value):
+    with pytest.raises(InvalidConfigError, match=name):
+        ValidationSpec.from_dict({name: value})
 
 
 # Noise-vector norm bound ------------------------------------------------------
