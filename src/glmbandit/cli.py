@@ -16,7 +16,7 @@ import numpy as np
 from .environment import sub_gaussian_sigma
 from .errors import InvalidConfigError, NumericalError
 from .harness import ExperimentSpec, emit_csv, run_experiment, sweep, sweep_type
-from .links import compute_kappa, get_link
+from .links import get_link
 from .validation import (
     ValidationSpec,
     lemma4_event_coverage,
@@ -86,8 +86,8 @@ def _run_check(check: str, cfg: ValidationSpec) -> dict:
             master_seed=cfg.master_seed,
         )
         sigma = sub_gaussian_sigma(cfg.noise, cfg.sigma)
-        kappa = cfg.kappa if cfg.kappa is not None else compute_kappa(link, cfg.theta_norm)
-        report = lemma4_event_coverage(runs, sigma, kappa, cfg.delta).to_dict()
+        # Every run carries the kappa its tuning resolved; the check uses that one.
+        report = lemma4_event_coverage(runs, sigma, runs[0].kappa, cfg.delta).to_dict()
         report["width_sum"] = width_sum_check(runs).to_dict()
         return report
     if check == "znorm":

@@ -41,29 +41,46 @@ def sample_context_batch(
     n: int,
     d: int,
     fixed_contexts: np.ndarray | None = None,
+    rounds: int | None = None,
 ) -> np.ndarray:
-    """Draw n iid feature vectors from the named distribution, norms <= 1."""
+    """Draw n iid feature vectors from the named distribution, norms <= 1.
+
+    With ``rounds`` set, draw that many such batches as one
+    ``(rounds, n, d)`` array, bit-identical to ``rounds`` successive
+    single-batch calls on the same generator.
+    """
+    m = 1 if rounds is None else rounds
     if dist == "fixed":
         if fixed_contexts is None:
             raise InvalidConfigError("context_dist 'fixed' requires fixed_contexts")
         if n != fixed_contexts.shape[0]:
             raise InvalidConfigError("fixed contexts must supply one vector per arm")
-        return fixed_contexts
-    z = gen.standard_normal((n, d))
-    norms = np.linalg.norm(z, axis=1)
+        return fixed_contexts if rounds is None else np.broadcast_to(fixed_contexts, (m, n, d))
+    if dist not in CONTEXT_DISTRIBUTIONS:
+        raise InvalidConfigError(f"unknown context distribution {dist!r}")
+    if dist == "uniform_ball":
+        # Each batch draws its normals and then its radii from the one
+        # stream, so a multi-round draw keeps that interleaving.
+        z = np.empty((m, n, d))
+        u = np.empty((m, n))
+        for i in range(m):
+            gen.standard_normal(out=z[i])
+            gen.random(out=u[i])
+    else:
+        z = gen.standard_normal((m, n, d))
+    norms = np.linalg.norm(z, axis=-1)
     norms[norms == 0.0] = 1.0
     if dist == "sphere":
-        return z / norms[:, None]
-    if dist == "uniform_ball":
-        radii = gen.random(n) ** (1.0 / d)
-        return z / norms[:, None] * radii[:, None]
-    if dist == "gaussian_normalized":
-        # N(0, I/d) draws, rescaled onto the unit sphere when they land
-        # outside the ball.
+        out = z / norms[..., None]
+    elif dist == "uniform_ball":
+        out = z / norms[..., None] * (u ** (1.0 / d))[..., None]
+    else:
+        # gaussian_normalized: N(0, I/d) draws, rescaled onto the unit
+        # sphere when they land outside the ball.
         scaled = norms / np.sqrt(d)
         shrink = np.maximum(scaled, 1.0)
-        return z / np.sqrt(d) / shrink[:, None]
-    raise InvalidConfigError(f"unknown context distribution {dist!r}")
+        out = z / np.sqrt(d) / shrink[..., None]
+    return out[0] if rounds is None else out
 
 
 def second_moment_min_eig(
@@ -164,16 +181,19 @@ class Environment:
             fixed_contexts=fixed_contexts,
         )
 
-    def sample_contexts(self) -> np.ndarray:
-        """One round's K feature vectors, iid across arms and rounds."""
+    def sample_contexts(self, rounds: int | None = None) -> np.ndarray:
+        """One round's K feature vectors, iid across arms and rounds, or
+        the next ``rounds`` rounds' as a ``(rounds, K, d)`` array."""
         return sample_context_batch(
-            self.contexts_rng, self.context_dist, self.K, self.d, self.fixed_contexts
+            self.contexts_rng, self.context_dist, self.K, self.d, self.fixed_contexts, rounds
         )
 
     def mean_reward(self, x: np.ndarray) -> float:
         return float(self.link.mu(float(x @ self.theta_star)))
 
     def arm_means(self, contexts: np.ndarray) -> np.ndarray:
+        """Mean reward of every arm; a ``(rounds, K, d)`` stack gives
+        ``(rounds, K)``, row for row equal to one round's means."""
         return np.asarray(self.link.mu(contexts @ self.theta_star), dtype=float)
 
     def sample_reward(self, x: np.ndarray) -> float:

@@ -49,6 +49,11 @@ TRACE_HEADER = "t,arm,optimal_arm,reward,inst_regret,cum_regret,mle_converged,st
 # Spec fields that fix the rows of summary.csv, which every sweep variant shares.
 _SHAPE_FIELDS = ("T", "record_every", "replications")
 
+# simulate draws and scores contexts a chunk of rounds at a time; a chunk's
+# (rounds, K, d) context array holds at most this many floats (at least
+# one round). A budget, not a round count, keeps peak memory flat in K*d.
+CHUNK_ELEMENTS = 32_768
+
 
 def fmt(value: float) -> str:
     """Decimal rendering with 12 significant digits (file schema rule)."""
@@ -314,41 +319,74 @@ def simulate(
 ) -> RegretTrace:
     """Drive one policy through T rounds of the environment.
 
+    Contexts depend on no policy, so they are drawn a chunk of rounds at a
+    time, and each chunk's arm means, optimal arms and regret are scored
+    in one pass after its rounds are played. Every value is bit-identical
+    to drawing and scoring round by round.
+
     ``observe(t, x)``, when given, sees each round's chosen features after
     the policy selects and before the reward is drawn. It must draw from
     no random stream, so observed runs stay identical to plain ones.
     """
-    rows = []
+    ts = np.arange(record_every, T + 1, record_every)
+    if T % record_every:
+        ts = np.append(ts, T)
+    arms = np.empty(len(ts), dtype=int)
+    optimal_arms = np.empty(len(ts), dtype=int)
+    rewards = np.empty(len(ts))
+    inst_regret = np.empty(len(ts))
+    cum_regret = np.empty(len(ts))
+    mle_converged = np.empty(len(ts), dtype=int)
+    stages = np.empty(len(ts), dtype=int)
+    chunk = max(1, CHUNK_ELEMENTS // (env.K * env.d))
     cum = 0.0
-    for t in range(1, T + 1):
-        contexts = env.sample_contexts()
-        arm = policy.select(t, contexts)
-        x = contexts[arm]
-        if observe is not None:
-            observe(t, x)
-        y = env.sample_reward(x)
-        policy.update(t, arm, x, y)
-        means = env.arm_means(contexts)
-        optimal = int(np.argmax(means))
-        regret = float(means[optimal] - means[arm])
-        cum += regret
-        if t % record_every == 0 or t == T:
-            stage = policy.last_stage if policy.last_stage is not None else -1
-            rows.append(
-                (t, arm, optimal, y, regret, cum, int(policy.last_mle_converged), stage)
-            )
-    cols = list(zip(*rows))
+    row = 0
+    for done in range(0, T, chunk):
+        m = min(chunk, T - done)
+        tape = env.sample_contexts(m)
+        chosen = np.empty(m, dtype=int)
+        first = row
+        for i in range(m):
+            t = done + i + 1
+            contexts = tape[i]
+            arm = policy.select(t, contexts)
+            x = contexts[arm]
+            if observe is not None:
+                observe(t, x)
+            y = env.sample_reward(x)
+            policy.update(t, arm, x, y)
+            chosen[i] = arm
+            if t % record_every == 0 or t == T:
+                rewards[row] = y
+                mle_converged[row] = policy.last_mle_converged
+                stages[row] = -1 if policy.last_stage is None else policy.last_stage
+                row += 1
+        means = env.arm_means(tape)
+        best = np.argmax(means, axis=1)
+        rounds = np.arange(m)
+        regret = means[rounds, best] - means[rounds, chosen]
+        # Carry the running total into the first term: cumsum then adds in
+        # the same order as a per-round ``cum += regret``.
+        running = regret.copy()
+        running[0] += cum
+        np.cumsum(running, out=running)
+        cum = running[-1]
+        picked = ts[first:row] - done - 1
+        arms[first:row] = chosen[picked]
+        optimal_arms[first:row] = best[picked]
+        inst_regret[first:row] = regret[picked]
+        cum_regret[first:row] = running[picked]
     return RegretTrace(
         algorithm=algorithm,
         replication=replication,
-        ts=np.array(cols[0], dtype=int),
-        arms=np.array(cols[1], dtype=int),
-        optimal_arms=np.array(cols[2], dtype=int),
-        rewards=np.array(cols[3], dtype=float),
-        inst_regret=np.array(cols[4], dtype=float),
-        cum_regret=np.array(cols[5], dtype=float),
-        mle_converged=np.array(cols[6], dtype=int),
-        stages=np.array(cols[7], dtype=int),
+        ts=ts,
+        arms=arms,
+        optimal_arms=optimal_arms,
+        rewards=rewards,
+        inst_regret=inst_regret,
+        cum_regret=cum_regret,
+        mle_converged=mle_converged,
+        stages=stages,
         n_nonconverged=policy.n_nonconverged,
         lambda_min_init=policy.lambda_min_init,
     )

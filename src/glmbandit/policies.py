@@ -321,7 +321,6 @@ class SupCbGlmPolicy(BasePolicy):
         self._stage_thetas: list[np.ndarray | None] = [None] * (self.S + 1)
         self._stage_dirty = [True] * (self.S + 1)
         self._pending: int | None = None  # stage set receiving the round
-        self.assignment_records: list[tuple[int, int, int, float]] = []
 
     def _init_fit(self) -> np.ndarray:
         if self._init_theta is None:
@@ -387,7 +386,6 @@ class SupCbGlmPolicy(BasePolicy):
                 arm = payload
                 self._pending = s
                 self.last_stage = s
-                self.assignment_records.append((t, s, arm, float(widths[arm])))
                 return arm
             if kind == "exploit" or s == self.S:
                 # At the last stage the exploit action is forced: 2^{-S} is

@@ -339,6 +339,7 @@ class UcbRunStats:
 
     d: int
     tau: int
+    kappa: float  # the run's resolved kappa, for the checks' bounds
     lambda_min_init: float
     ts: np.ndarray
     delta_vt_norms: np.ndarray  # |theta_hat_t - theta*|_{V_t} per round
@@ -393,6 +394,7 @@ def run_ucb_glm_instrumented(
             UcbRunStats(
                 d=d,
                 tau=config.tau,
+                kappa=config.kappa,
                 lambda_min_init=float(policy.lambda_min_init),
                 ts=np.array(ts, dtype=int),
                 delta_vt_norms=np.array(delta_norms),

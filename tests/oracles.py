@@ -6,8 +6,9 @@ keeps the plain per-step evaluations that the library's loop reuses or
 skips, and the eigenvalue oracle brackets a root of the characteristic
 polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, per-index stage
-scores, regret of one round, the SupCB-GLM partition check) and the
-instrumented UCB-GLM runner's own loop as a reference.
+scores, regret of one round, the SupCB-GLM partition check), the
+instrumented UCB-GLM runner's own loop and the harness's per-round
+simulation loop as references.
 """
 
 from __future__ import annotations
@@ -360,6 +361,7 @@ def reference_run_ucb_glm_instrumented(
             UcbRunStats(
                 d=d,
                 tau=tau_val,
+                kappa=kap,
                 lambda_min_init=float(policy.lambda_min_init),
                 ts=np.array(ts, dtype=int),
                 delta_vt_norms=np.array(delta_norms),
@@ -368,3 +370,54 @@ def reference_run_ucb_glm_instrumented(
             )
         )
     return runs
+
+
+def reference_simulate(
+    env,
+    policy,
+    T: int,
+    record_every: int = 1,
+    algorithm: str = "",
+    replication: int = 0,
+    observe=None,
+):
+    """The harness's round loop as first written: one context draw, one
+    arm-means pass and one argmax per round, rows kept as tuples. The
+    bit-identity reference for ``harness.simulate``, which draws contexts
+    and scores regret a chunk of rounds at a time."""
+    from glmbandit.harness import RegretTrace
+
+    rows = []
+    cum = 0.0
+    for t in range(1, T + 1):
+        contexts = env.sample_contexts()
+        arm = policy.select(t, contexts)
+        x = contexts[arm]
+        if observe is not None:
+            observe(t, x)
+        y = env.sample_reward(x)
+        policy.update(t, arm, x, y)
+        means = env.arm_means(contexts)
+        optimal = int(np.argmax(means))
+        regret = float(means[optimal] - means[arm])
+        cum += regret
+        if t % record_every == 0 or t == T:
+            stage = policy.last_stage if policy.last_stage is not None else -1
+            rows.append(
+                (t, arm, optimal, y, regret, cum, int(policy.last_mle_converged), stage)
+            )
+    cols = list(zip(*rows))
+    return RegretTrace(
+        algorithm=algorithm,
+        replication=replication,
+        ts=np.array(cols[0], dtype=int),
+        arms=np.array(cols[1], dtype=int),
+        optimal_arms=np.array(cols[2], dtype=int),
+        rewards=np.array(cols[3], dtype=float),
+        inst_regret=np.array(cols[4], dtype=float),
+        cum_regret=np.array(cols[5], dtype=float),
+        mle_converged=np.array(cols[6], dtype=int),
+        stages=np.array(cols[7], dtype=int),
+        n_nonconverged=policy.n_nonconverged,
+        lambda_min_init=policy.lambda_min_init,
+    )

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from glmbandit import cli
 from glmbandit.cli import cli_main
+from glmbandit.links import LOGISTIC, compute_kappa
 
 
 def write_json(path, payload):
@@ -132,6 +134,31 @@ def test_validate_lemma4(tmp_path):
     report = json.loads((out / "lemma4_report.json").read_text())
     assert "width_sum" in report
     assert report["nominal"] == pytest.approx(0.95)
+
+
+def test_validate_lemma4_checks_with_the_runs_kappa(tmp_path, monkeypatch):
+    seen = {}
+    run, check = cli.run_ucb_glm_instrumented, cli.lemma4_event_coverage
+
+    def spy_run(*args, **kwargs):
+        seen["runs"] = run(*args, **kwargs)
+        return seen["runs"]
+
+    def spy_check(runs, sigma, kappa, delta):
+        seen["kappa"] = kappa
+        return check(runs, sigma, kappa, delta)
+
+    monkeypatch.setattr(cli, "run_ucb_glm_instrumented", spy_run)
+    monkeypatch.setattr(cli, "lemma4_event_coverage", spy_check)
+    cfg = write_json(
+        tmp_path / "val.json",
+        dict(link="logistic", noise="bernoulli", d=2, K=3, T=60, delta=0.05,
+             replications=2, master_seed=3, tau=20, theta_norm=2.0),
+    )
+    assert cli_main(["validate", "--check", "lemma4", "--config", cfg,
+                     "--out", str(tmp_path / "reports")]) == 0
+    assert [r.kappa for r in seen["runs"]] == [seen["kappa"]] * 2
+    assert seen["kappa"] == compute_kappa(LOGISTIC, 2.0)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmbandit.design import DesignState, min_eigenvalue, weighted_norm, weighted_norms
 from glmbandit.errors import NonPositiveDefiniteError, SingularDesignError
@@ -158,3 +159,57 @@ def test_log_reconstructs_gram_matrix():
     assert np.abs(rebuilt - state.V).max() <= 1e-9
     assert min_eigenvalue(state.V) >= -1e-10
     assert np.allclose(state.V, state.V.T)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.integers(1, 5),
+    n=st.integers(1, 80),
+    log_spread=st.floats(-1.5, 0.0),
+    log_noise=st.floats(-6.0, 0.0),
+    rank=st.integers(1, 5),
+    collinear_start=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sherman_morrison_matches_direct_inverse_near_singularity(
+    d, n, log_spread, log_noise, rank, collinear_start, seed
+):
+    """The rank-one-updated inverse tracks inv(V) through ill-conditioned
+    designs: a start that is a tiny ball or a bundle of nearly parallel
+    vectors, then updates close to a subspace of dimension below d.
+
+    Each update's rounding error is of order eps * cond(V_j) * |V_j^{-1}|
+    and is carried forward, so the tolerance is a fixed multiple of eps *
+    (n + d) * max_j cond(V_j) |V_j^{-1}| over the sequence. The strategy
+    keeps it below a tenth of the largest entry of V^{-1}, so the check
+    stays far tighter than the error of a wrong update.
+    """
+    gen = np.random.default_rng(seed)
+    basis = np.linalg.qr(gen.standard_normal((d, d)))[0]
+    spread, noise = 10.0**log_spread, 10.0**log_noise
+    design = DesignState(d, refactor_every=10**6)  # Sherman-Morrison only
+    for i in range(d):
+        if collinear_start:
+            x = basis[:, 0] + spread * basis[:, i]
+            x /= max(1.0, np.linalg.norm(x))
+        else:
+            x = basis[:, i] * (spread if i else 1.0)
+        design.update(x, 0.0)
+    if min_eigenvalue(design.V) < 1e-8:
+        return  # the start itself is singular to working precision
+    design.inverse()
+
+    def spread_of_error(v):
+        return np.linalg.cond(v) * np.linalg.norm(np.linalg.inv(v), 2)
+
+    worst = spread_of_error(design.V)
+    for _ in range(n):
+        x = basis[:, : min(rank, d)] @ gen.standard_normal(min(rank, d))
+        x += noise * gen.standard_normal(d)
+        x /= max(1.0, np.linalg.norm(x))
+        design.update(x, 0.0)
+        worst = max(worst, spread_of_error(design.V))
+    direct = np.linalg.inv(design.V)
+    tol = 50.0 * np.finfo(float).eps * (n + d) * worst
+    assert np.abs(design.inverse() - direct).max() <= tol
+    assert tol <= 0.1 * np.abs(direct).max()

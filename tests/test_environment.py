@@ -72,6 +72,25 @@ def test_fixed_context_distribution():
     assert second_moment_min_eig("fixed", 2, fixed) == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("dist", ["uniform_ball", "sphere", "gaussian_normalized", "fixed"])
+@pytest.mark.parametrize("K,d", [(1, 1), (4, 3), (7, 20)])
+def test_multi_round_draw_equals_per_round_draws(dist, K, d):
+    fixed = None
+    if dist == "fixed":
+        z = np.random.default_rng(9).standard_normal((K, d))
+        fixed = z / np.linalg.norm(z, axis=1)[:, None]
+    kwargs = dict(d=d, K=K, link=IDENTITY, noise="gaussian", sigma=0.1,
+                  context_dist=dist, fixed_contexts=fixed)
+    per_round, tape = _env(**kwargs), _env(**kwargs)
+    singles = [per_round.sample_contexts() for _ in range(13)]
+    chunks = np.concatenate([tape.sample_contexts(5), tape.sample_contexts(8)])
+    assert chunks.shape == (13, K, d)
+    for i, single in enumerate(singles):
+        assert np.array_equal(chunks[i], single)
+    # Both streams stand at the same place afterwards.
+    assert np.array_equal(per_round.sample_contexts(), tape.sample_contexts())
+
+
 def test_theta_star_draw_has_requested_norm():
     gen = streams.stream(4, 0, streams.THETA)
     for norm in (0.5, 1.0, 2.0):

@@ -2,15 +2,20 @@ import dataclasses
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glmbandit import harness
+from glmbandit import rng as streams
 from glmbandit.errors import InvalidConfigError
 from glmbandit.harness import (
     ExperimentSpec,
     RegretTrace,
+    base_algorithm,
+    build_environment,
     emit_csv,
     emit_trace_csv,
     fmt,
@@ -18,8 +23,13 @@ from glmbandit.harness import (
     resolve_policy_config,
     run_experiment,
     run_replication,
+    simulate,
     sweep,
 )
+from glmbandit.links import get_link
+from glmbandit.policies import make_policy
+
+from oracles import reference_simulate
 
 
 def base_spec(**overrides):
@@ -469,3 +479,105 @@ def test_paired_replications_share_environment():
     oracle_trace = run_replication(spec, "oracle", 0)
     uniform_trace = run_replication(spec, "uniform", 0)
     assert np.array_equal(oracle_trace.optimal_arms, uniform_trace.optimal_arms)
+
+
+# The chunked loop against the per-round reference ------------------------
+
+WORLDS = [("logistic", "bernoulli"), ("identity", "gaussian"), ("probit", "gaussian")]
+
+
+def _world(spec: ExperimentSpec, algorithm: str):
+    env = build_environment(spec, 0)
+    policy = make_policy(
+        base_algorithm(algorithm),
+        resolve_policy_config(spec, algorithm),
+        get_link(spec.link),
+        streams.stream(spec.master_seed, 0, streams.POLICY),
+        env.theta_star,
+    )
+    return env, policy
+
+
+def _play(run, spec: ExperimentSpec, algorithm: str, recorder: bool):
+    """One run's trace and observed (t, x) pairs, or the error it raised."""
+    env, policy = _world(spec, algorithm)
+    seen = []
+    observe = (lambda t, x: seen.append((t, x.copy()))) if recorder else None
+    try:
+        trace = run(env, policy, spec.T, spec.record_every, algorithm, 0, observe=observe)
+    except Exception as exc:  # both loops must fail alike
+        return type(exc), str(exc)
+    return trace, seen
+
+
+def _assert_same_run(got, want):
+    if not isinstance(want[0], RegretTrace):
+        assert got == want
+        return
+    (trace, seen), (ref, ref_seen) = got, want
+    for f in dataclasses.fields(RegretTrace):
+        a, b = getattr(trace, f.name), getattr(ref, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+    assert [t for t, _ in seen] == [t for t, _ in ref_seen]
+    assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(seen, ref_seen))
+
+
+@st.composite
+def tape_cases(draw):
+    link, noise = draw(st.sampled_from(WORLDS))
+    dist = draw(st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized", "fixed"]))
+    d = draw(st.integers(1, 4))
+    K = draw(st.integers(d, 6))
+    T = draw(st.integers(1, 40))
+    raw = dict(
+        T=T, d=d, K=K, link=link, noise=noise, context_dist=dist,
+        algorithms=[draw(st.sampled_from(
+            ["uniform", "oracle", "ucb-glm", "epsilon-greedy", "supcb-glm"]
+        ))],
+        tau=min(T, draw(st.integers(0, 3 * d))),
+        record_every=draw(st.integers(1, 7)),
+        master_seed=draw(st.integers(0, 2**20)),
+    )
+    if noise == "gaussian":
+        raw["sigma"] = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    if dist == "fixed":
+        z = np.random.default_rng(raw["master_seed"]).standard_normal((K, d))
+        raw["fixed_contexts"] = (z / np.maximum(np.linalg.norm(z, axis=1), 1.0)[:, None]).tolist()
+    # Chunks of 1 to 9 rounds, so T falls below, on and between chunk edges.
+    rounds = draw(st.integers(1, 9))
+    budget = rounds * K * d + draw(st.integers(0, K * d - 1))
+    return ExperimentSpec.from_dict(raw), budget, draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(tape_cases())
+def test_chunked_simulate_matches_the_per_round_loop(case):
+    spec, budget, recorder = case
+    algorithm = spec.algorithms[0]
+    if base_algorithm(algorithm) == "supcb-glm" and spec.T < 2:
+        return
+    want = _play(reference_simulate, spec, algorithm, recorder)
+    with mock.patch.object(harness, "CHUNK_ELEMENTS", budget):
+        got = _play(simulate, spec, algorithm, recorder)
+    _assert_same_run(got, want)
+
+
+@pytest.mark.parametrize(
+    "K,d,T",
+    [
+        (3, 2, 50),  # T far below one chunk at the real budget
+        (200, 200, 7),  # K*d over the budget: chunks of one round
+        (100, 20, 37),  # the benchmark's stream shape: T not a multiple of the chunk
+    ],
+)
+@pytest.mark.parametrize("record_every", [1, 4])
+def test_simulate_at_the_real_chunk_budget(K, d, T, record_every):
+    spec = base_spec(T=T, K=K, d=d, algorithms=["uniform"], context_dist="sphere", tau=None,
+                     record_every=record_every)
+    _assert_same_run(
+        _play(simulate, spec, "uniform", True), _play(reference_simulate, spec, "uniform", True)
+    )

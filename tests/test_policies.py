@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from glmbandit import policies
 from glmbandit import rng as streams
 from glmbandit.design import weighted_norm
 from glmbandit.environment import Environment
@@ -389,13 +390,28 @@ def test_supcb_partition_invariant_every_round():
     assert partition_ok(policy, 300)
 
 
-def test_supcb_stage_assignment_matches_width_rule():
-    policy, log = _run_supcb(T=250)
-    assert policy.assignment_records, "no exploration assignments happened"
+def test_supcb_stage_assignment_matches_width_rule(monkeypatch):
+    # Record (t, stage, arm, width) of every exploration assignment: the
+    # wrapped rule sees the stage and widths, the per-round hook the round.
+    explored, records = [], []
+
+    def recording_stage_decision(means, widths, active, s, T):
+        kind, payload = stage_decision(means, widths, active, s, T)
+        if kind == "explore":
+            explored.append((s, payload, float(widths[payload])))
+        return kind, payload
+
+    def attach_round(policy, t):
+        records.extend((t, *entry) for entry in explored)
+        explored.clear()
+
+    monkeypatch.setattr(policies, "stage_decision", recording_stage_decision)
+    policy, log = _run_supcb(T=250, check_each_round=attach_round)
+    assert records, "no exploration assignments happened"
     xs = np.vstack(log["xs"])
     ys = np.array(log["ys"])
     checked = 0
-    for t, s, arm, width in policy.assignment_records[:40]:
+    for t, s, arm, width in records[:40]:
         members = [i - 1 for i in policy.stage_sets[s] if i < t]
         members += [i - 1 for i in policy.init_rounds]
         contexts = log["contexts"][t - 1]

@@ -43,3 +43,8 @@ def test_tracer_wraps_every_named_hook_and_restores_it():
     assert metrics["validation.mc_reps"] == 1.0
     assert metrics["policies.selects"] == 40.0
     assert metrics["harness.loop_self_s"] > 0.0
+    # simulate still draws through sample_context_batch and scores through
+    # Environment.arm_means, whatever chunks it works in.
+    assert metrics["environment.context_draws"] > 0.0
+    assert metrics["environment.regret_s"] > 0.0
+    assert metrics["environment.rewards_s"] > 0.0
