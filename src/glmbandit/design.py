@@ -116,12 +116,6 @@ class DesignState:
         except SingularDesignError:
             return None
 
-    def consistency_error(self) -> float:
-        """Max-entry deviation of V @ V_inv from the identity."""
-        if self._v_inv is None:
-            raise SingularDesignError("inverse has not been materialized")
-        return float(np.abs(self.V @ self._v_inv - np.eye(self.d)).max())
-
     def copy(self) -> DesignState:
         other = DesignState(self.d, self.refactor_every)
         other.n = self.n

@@ -196,13 +196,23 @@ class Environment:
         ``(rounds, K)``, row for row equal to one round's means."""
         return np.asarray(self.link.mu(contexts @ self.theta_star), dtype=float)
 
-    def sample_reward(self, x: np.ndarray) -> float:
-        """Draw one reward for the chosen feature vector.
+    def sample_noise(self, rounds: int) -> np.ndarray:
+        """The reward noise of the next ``rounds`` rounds: uniforms for
+        Bernoulli rewards, standard normals for Gaussian ones.
 
-        Exactly one generator call per round, whichever arm was chosen, so
-        runs with a shared seed stay paired across policies.
+        One value per round, whichever arm is chosen, so every policy of a
+        replication sees the same noise (a paired design). One vector call
+        gives the same values as ``rounds`` scalar calls.
         """
+        if self.noise == "bernoulli":
+            return self.rewards_rng.random(rounds)
+        return self.rewards_rng.standard_normal(rounds)
+
+    def sample_reward(self, x: np.ndarray, noise: float) -> float:
+        """The reward for the chosen feature vector, given the round's value
+        from ``sample_noise``: ``u < mean`` for Bernoulli rewards and
+        ``mean + sigma * z`` for Gaussian ones."""
         mean = self.mean_reward(x)
         if self.noise == "bernoulli":
-            return float(self.rewards_rng.random() < mean)
-        return mean + self.sigma * float(self.rewards_rng.standard_normal())
+            return float(noise < mean)
+        return mean + self.sigma * float(noise)

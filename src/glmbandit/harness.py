@@ -1,9 +1,11 @@
 """Experiment execution: configs, replication runs, aggregation, file output.
 
-Work units are (algorithm, replication) pairs that share nothing mutable.
-Each unit derives every random stream from (master_seed, replication), so
-results are a pure function of the spec and aggregation by replication
-index makes the output independent of execution order and worker count.
+Work units are replications, split into algorithm groups only when there
+are more workers than replications; units share nothing mutable. Every
+algorithm of a replication plays the same world: each unit derives every
+random stream from (master_seed, replication), so results are a pure
+function of the spec, and aggregation by replication index makes the
+output independent of execution order, grouping and worker count.
 """
 
 from __future__ import annotations
@@ -308,88 +310,129 @@ class RegretTrace:
     lambda_min_init: float | None = None
 
 
+def _play_chunk(
+    env: Environment,
+    label: str,
+    policy: BasePolicy,
+    tape: np.ndarray,
+    noise: np.ndarray,
+    done: int,
+    picked: np.ndarray,
+    observe: Callable[[str, int, np.ndarray], None] | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One policy's turn at a chunk of rounds ``done+1 ..``: the arm of
+    every round, and the reward, MLE flag and stage of each ``picked`` one.
+
+    A policy that does not learn selects the whole chunk at once and draws
+    rewards only for the picked rounds; one that learns plays round by round.
+    """
+    m = len(tape)
+    chosen = policy.select_rounds(tape)
+    if chosen is not None:
+        xs = tape[np.arange(m), chosen]
+        if observe is not None:
+            for i in range(m):
+                observe(label, done + i + 1, xs[i])
+        rewards = np.array([env.sample_reward(xs[i], noise[i]) for i in picked], dtype=float)
+        stage = -1 if policy.last_stage is None else policy.last_stage
+        converged = np.full(len(picked), int(policy.last_mle_converged))
+        return chosen, rewards, converged, np.full(len(picked), stage)
+    chosen = np.empty(m, dtype=int)
+    rewards = np.empty(m)
+    converged = np.empty(m, dtype=int)
+    stages = np.empty(m, dtype=int)
+    for i in range(m):
+        t = done + i + 1
+        contexts = tape[i]
+        arm = policy.select(t, contexts)
+        x = contexts[arm]
+        if observe is not None:
+            observe(label, t, x)
+        y = env.sample_reward(x, noise[i])
+        policy.update(t, arm, x, y)
+        chosen[i] = arm
+        rewards[i] = y
+        converged[i] = policy.last_mle_converged
+        stages[i] = -1 if policy.last_stage is None else policy.last_stage
+    return chosen, rewards[picked], converged[picked], stages[picked]
+
+
 def simulate(
     env: Environment,
-    policy: BasePolicy,
+    policies: dict[str, BasePolicy],
     T: int,
     record_every: int = 1,
-    algorithm: str = "",
     replication: int = 0,
-    observe: Callable[[int, np.ndarray], None] | None = None,
-) -> RegretTrace:
-    """Drive one policy through T rounds of the environment.
+    observe: Callable[[str, int, np.ndarray], None] | None = None,
+) -> dict[str, RegretTrace]:
+    """Drive every policy of one replication through T rounds of its world.
 
-    Contexts depend on no policy, so they are drawn a chunk of rounds at a
-    time, and each chunk's arm means, optimal arms and regret are scored
-    in one pass after its rounds are played. Every value is bit-identical
-    to drawing and scoring round by round.
+    ``policies`` maps each algorithm label to its policy; the result maps
+    the labels to their traces. Contexts, reward noise, arm means and
+    optimal arms depend on no policy, so they are drawn and scored once per
+    chunk of rounds, and every policy then plays that chunk in turn. Every
+    value is bit-identical to running each policy alone, round by round.
 
-    ``observe(t, x)``, when given, sees each round's chosen features after
-    the policy selects and before the reward is drawn. It must draw from
-    no random stream, so observed runs stay identical to plain ones.
+    ``observe(label, t, x)``, when given, sees each policy's chosen
+    features at every round, before the reward is computed. It must draw
+    from no random stream, so observed runs stay identical to plain ones.
     """
     ts = np.arange(record_every, T + 1, record_every)
     if T % record_every:
         ts = np.append(ts, T)
-    arms = np.empty(len(ts), dtype=int)
-    optimal_arms = np.empty(len(ts), dtype=int)
-    rewards = np.empty(len(ts))
-    inst_regret = np.empty(len(ts))
-    cum_regret = np.empty(len(ts))
-    mle_converged = np.empty(len(ts), dtype=int)
-    stages = np.empty(len(ts), dtype=int)
+    traces = {
+        label: RegretTrace(
+            algorithm=label,
+            replication=replication,
+            ts=ts,
+            arms=np.empty(len(ts), dtype=int),
+            optimal_arms=np.empty(len(ts), dtype=int),
+            rewards=np.empty(len(ts)),
+            inst_regret=np.empty(len(ts)),
+            cum_regret=np.empty(len(ts)),
+            mle_converged=np.empty(len(ts), dtype=int),
+            stages=np.empty(len(ts), dtype=int),
+        )
+        for label in policies
+    }
+    cums = dict.fromkeys(policies, 0.0)
     chunk = max(1, CHUNK_ELEMENTS // (env.K * env.d))
-    cum = 0.0
-    row = 0
+    first = 0
     for done in range(0, T, chunk):
         m = min(chunk, T - done)
         tape = env.sample_contexts(m)
-        chosen = np.empty(m, dtype=int)
-        first = row
-        for i in range(m):
-            t = done + i + 1
-            contexts = tape[i]
-            arm = policy.select(t, contexts)
-            x = contexts[arm]
-            if observe is not None:
-                observe(t, x)
-            y = env.sample_reward(x)
-            policy.update(t, arm, x, y)
-            chosen[i] = arm
-            if t % record_every == 0 or t == T:
-                rewards[row] = y
-                mle_converged[row] = policy.last_mle_converged
-                stages[row] = -1 if policy.last_stage is None else policy.last_stage
-                row += 1
+        noise = env.sample_noise(m)
         means = env.arm_means(tape)
         best = np.argmax(means, axis=1)
         rounds = np.arange(m)
-        regret = means[rounds, best] - means[rounds, chosen]
-        # Carry the running total into the first term: cumsum then adds in
-        # the same order as a per-round ``cum += regret``.
-        running = regret.copy()
-        running[0] += cum
-        np.cumsum(running, out=running)
-        cum = running[-1]
-        picked = ts[first:row] - done - 1
-        arms[first:row] = chosen[picked]
-        optimal_arms[first:row] = best[picked]
-        inst_regret[first:row] = regret[picked]
-        cum_regret[first:row] = running[picked]
-    return RegretTrace(
-        algorithm=algorithm,
-        replication=replication,
-        ts=ts,
-        arms=arms,
-        optimal_arms=optimal_arms,
-        rewards=rewards,
-        inst_regret=inst_regret,
-        cum_regret=cum_regret,
-        mle_converged=mle_converged,
-        stages=stages,
-        n_nonconverged=policy.n_nonconverged,
-        lambda_min_init=policy.lambda_min_init,
-    )
+        top = means[rounds, best]
+        last = int(np.searchsorted(ts, done + m, side="right"))
+        rows = slice(first, last)
+        picked = ts[rows] - done - 1
+        for label, policy in policies.items():
+            trace = traces[label]
+            chosen, rewards, converged, stages = _play_chunk(
+                env, label, policy, tape, noise, done, picked, observe
+            )
+            regret = top - means[rounds, chosen]
+            # Carry the running total into the first term: cumsum then adds
+            # in the same order as a per-round ``cum += regret``.
+            running = regret.copy()
+            running[0] += cums[label]
+            np.cumsum(running, out=running)
+            cums[label] = running[-1]
+            trace.arms[rows] = chosen[picked]
+            trace.optimal_arms[rows] = best[picked]
+            trace.rewards[rows] = rewards
+            trace.inst_regret[rows] = regret[picked]
+            trace.cum_regret[rows] = running[picked]
+            trace.mle_converged[rows] = converged
+            trace.stages[rows] = stages
+        first = last
+    for label, policy in policies.items():
+        traces[label].n_nonconverged = policy.n_nonconverged
+        traces[label].lambda_min_init = policy.lambda_min_init
+    return traces
 
 
 def build_environment(spec: ExperimentSpec, replication: int) -> Environment:
@@ -414,18 +457,29 @@ def build_environment(spec: ExperimentSpec, replication: int) -> Environment:
     )
 
 
-def run_replication(spec: ExperimentSpec, algorithm: str, replication: int) -> RegretTrace:
+def run_replication(
+    spec: ExperimentSpec, replication: int, algorithms: tuple[str, ...]
+) -> dict[str, RegretTrace]:
+    """Play ``algorithms`` in one replication's world; each policy draws
+    from its own fresh policy stream."""
     env = build_environment(spec, replication)
-    config = resolve_policy_config(spec, algorithm)
-    policy_rng = streams.stream(spec.master_seed, replication, streams.POLICY)
     link = get_link(spec.link)
-    policy = make_policy(base_algorithm(algorithm), config, link, policy_rng, env.theta_star)
-    return simulate(env, policy, spec.T, spec.record_every, algorithm, replication)
+    policies = {
+        algorithm: make_policy(
+            base_algorithm(algorithm),
+            resolve_policy_config(spec, algorithm),
+            link,
+            streams.stream(spec.master_seed, replication, streams.POLICY),
+            env.theta_star,
+        )
+        for algorithm in algorithms
+    }
+    return simulate(env, policies, spec.T, spec.record_every, replication)
 
 
-def _run_unit(payload: tuple[dict, str, int]) -> RegretTrace:
-    raw, algorithm, replication = payload
-    return run_replication(ExperimentSpec.from_dict(raw), algorithm, replication)
+def _run_unit(payload: tuple[dict, int, tuple[str, ...]]) -> list[RegretTrace]:
+    raw, replication, algorithms = payload
+    return list(run_replication(ExperimentSpec.from_dict(raw), replication, algorithms).values())
 
 
 def worker_count(spec: ExperimentSpec) -> int:
@@ -503,18 +557,37 @@ def aggregate(specs: dict[str, ExperimentSpec], traces: list[RegretTrace]) -> Ag
     )
 
 
+def algorithm_groups(algorithms: tuple[str, ...], groups: int) -> list[tuple[str, ...]]:
+    """Deal ``algorithms`` round-robin into ``groups`` groups.
+
+    Dealing rather than cutting contiguous runs spreads neighbours apart:
+    a config tends to list its costly learners together, and a contiguous
+    cut would put them all in one unit.
+    """
+    return [algorithms[g::groups] for g in range(groups)]
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
-    """Run every (algorithm, replication) unit and aggregate deterministically."""
+    """Run every (replication, algorithm group) unit and aggregate
+    deterministically.
+
+    One group per replication shares one world among all its algorithms.
+    Only when replications alone cannot keep the workers busy are a
+    replication's algorithms split into more groups, each redrawing the
+    same world.
+    """
     spec.validate()
-    units = [(alg, rep) for alg in spec.algorithms for rep in range(spec.replications)]
     workers = worker_count(spec)
+    n_groups = min(len(spec.algorithms), -(-workers // spec.replications))
+    groups = algorithm_groups(spec.algorithms, n_groups)
+    units = [(rep, group) for rep in range(spec.replications) for group in groups]
     if workers <= 1 or len(units) <= 1:
-        traces = [run_replication(spec, alg, rep) for alg, rep in units]
+        traces = [tr for rep, group in units for tr in run_replication(spec, rep, group).values()]
     else:
         raw = spec.to_dict()
-        payloads = [(raw, alg, rep) for alg, rep in units]
+        payloads = [(raw, rep, group) for rep, group in units]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_run_unit, payloads))
+            traces = [tr for unit in pool.map(_run_unit, payloads) for tr in unit]
     # Deterministic order regardless of how the pool scheduled the units.
     order = {name: i for i, name in enumerate(spec.algorithms)}
     traces.sort(key=lambda tr: (order[tr.algorithm], tr.replication))
@@ -549,36 +622,6 @@ def emit_trace_csv(trace: RegretTrace, path: str) -> None:
         )
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def parse_trace_csv(path: str) -> RegretTrace:
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise InvalidConfigError(f"{path} does not carry the trace schema")
-    cols: list[list] = [[] for _ in range(8)]
-    for line in lines[1:]:
-        parts = line.split(",")
-        cols[0].append(int(parts[0]))
-        cols[1].append(int(parts[1]))
-        cols[2].append(int(parts[2]))
-        cols[3].append(float(parts[3]))
-        cols[4].append(float(parts[4]))
-        cols[5].append(float(parts[5]))
-        cols[6].append(int(parts[6]))
-        cols[7].append(-1 if parts[7] == "" else int(parts[7]))
-    return RegretTrace(
-        algorithm="",
-        replication=-1,
-        ts=np.array(cols[0], dtype=int),
-        arms=np.array(cols[1], dtype=int),
-        optimal_arms=np.array(cols[2], dtype=int),
-        rewards=np.array(cols[3], dtype=float),
-        inst_regret=np.array(cols[4], dtype=float),
-        cum_regret=np.array(cols[5], dtype=float),
-        mle_converged=np.array(cols[6], dtype=int),
-        stages=np.array(cols[7], dtype=int),
-    )
 
 
 def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
@@ -635,12 +678,6 @@ def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         fh.write("\n")
     written["meta"] = meta_path
     return written
-
-
-def run_and_emit(spec: ExperimentSpec, out_dir: str) -> ExperimentResult:
-    result = run_experiment(spec)
-    emit_csv(result, out_dir)
-    return result
 
 
 def sweep_type(param: str) -> type:

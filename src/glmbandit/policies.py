@@ -158,6 +158,12 @@ class BasePolicy:
     def select(self, t: int, contexts: np.ndarray) -> int:
         raise NotImplementedError
 
+    def select_rounds(self, tape: np.ndarray) -> np.ndarray | None:
+        """The arms for a ``(rounds, K, d)`` tape of contexts at once, the
+        same as ``select`` round by round, or None for a policy that learns
+        from its rewards and so must select one round at a time."""
+        return None
+
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         raise NotImplementedError
 
@@ -167,6 +173,10 @@ class UniformRandomPolicy(BasePolicy):
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         return int(self.rng.integers(self.config.K))
+
+    def select_rounds(self, tape: np.ndarray) -> np.ndarray:
+        # One vector draw gives the same values as one scalar draw per round.
+        return self.rng.integers(self.config.K, size=len(tape))
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         pass
@@ -183,6 +193,10 @@ class OraclePolicy(BasePolicy):
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         return greedy_argmax(contexts @ self.theta_star)
+
+    def select_rounds(self, tape: np.ndarray) -> np.ndarray:
+        # The argmax is taken before the link, so saturated means cannot tie.
+        return np.argmax(tape @ self.theta_star, axis=1)
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         pass
@@ -313,8 +327,6 @@ class SupCbGlmPolicy(BasePolicy):
             raise InvalidConfigError("supcb-glm needs T >= 2")
         self.link = link
         self.S = int(math.floor(math.log2(config.T)))
-        self.stage_sets: list[list[int]] = [[] for _ in range(self.S + 1)]
-        self.init_rounds: list[int] = []
         self._init_design = DesignState(config.d)
         self._init_theta: np.ndarray | None = None
         self._stage_designs: list[DesignState | None] = [None] * (self.S + 1)
@@ -400,13 +412,10 @@ class SupCbGlmPolicy(BasePolicy):
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         if self._pending is None:
-            self.init_rounds.append(t)
             self._init_design.update(x, y)
-        else:
-            self.stage_sets[self._pending].append(t)
-            if self._pending >= 1:
-                self._stage_designs[self._pending].update(x, y)
-                self._stage_dirty[self._pending] = True
+        elif self._pending >= 1:
+            self._stage_designs[self._pending].update(x, y)
+            self._stage_dirty[self._pending] = True
         self._pending = None
 
 

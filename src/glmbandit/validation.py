@@ -382,14 +382,14 @@ def run_ucb_glm_instrumented(
         policy = UcbGlmPolicy(config, link, streams.stream(master_seed, rep, streams.POLICY))
         ts, delta_norms, widths = [], [], []
 
-        def observe(t: int, x: np.ndarray) -> None:
+        def observe(label: str, t: int, x: np.ndarray) -> None:
             if t > config.tau:
                 ts.append(t)
                 delta_norms.append(weighted_norm(policy.theta - env.theta_star, policy.design.V))
                 widths.append(weighted_norm(x, policy.design.inverse()))
 
         # Only round T enters the trace; the observer keeps what the checks need.
-        simulate(env, policy, T, record_every=T, observe=observe)
+        simulate(env, {"ucb-glm": policy}, T, record_every=T, observe=observe)
         runs.append(
             UcbRunStats(
                 d=d,

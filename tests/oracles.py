@@ -6,9 +6,10 @@ keeps the plain per-step evaluations that the library's loop reuses or
 skips, and the eigenvalue oracle brackets a root of the characteristic
 polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, per-index stage
-scores, regret of one round, the SupCB-GLM partition check), the
-instrumented UCB-GLM runner's own loop and the harness's per-round
-simulation loop as references.
+scores, regret of one round, scalar reward draws, the SupCB-GLM round
+recorder and partition check, the inverse consistency error, the trace
+file reader), the instrumented UCB-GLM runner's own loop and the
+harness's per-round simulation loop as references.
 """
 
 from __future__ import annotations
@@ -217,6 +218,60 @@ def link_eval(link, z: float) -> float:
     return float(link.mu(z))
 
 
+def scalar_reward(env, x: np.ndarray) -> float:
+    """One round's reward with its noise drawn by a scalar generator call,
+    as the environment drew rewards before it took pre-drawn noise tapes."""
+    mean = env.mean_reward(x)
+    if env.noise == "bernoulli":
+        return float(env.rewards_rng.random() < mean)
+    return mean + env.sigma * float(env.rewards_rng.standard_normal())
+
+
+def consistency_error(state) -> float:
+    """Max-entry deviation of V @ V_inv from the identity for a DesignState
+    whose inverse has been materialized."""
+    from glmbandit.errors import SingularDesignError
+
+    if state._v_inv is None:
+        raise SingularDesignError("inverse has not been materialized")
+    return float(np.abs(state.V @ state._v_inv - np.eye(state.d)).max())
+
+
+def parse_trace_csv(path: str):
+    """Read a trace file written by ``harness.emit_trace_csv`` back into a
+    RegretTrace (algorithm and replication are not in the file)."""
+    from glmbandit.errors import InvalidConfigError
+    from glmbandit.harness import TRACE_HEADER, RegretTrace
+
+    with open(path) as fh:
+        lines = [line.rstrip("\n") for line in fh if line.strip()]
+    if not lines or lines[0] != TRACE_HEADER:
+        raise InvalidConfigError(f"{path} does not carry the trace schema")
+    cols: list[list] = [[] for _ in range(8)]
+    for line in lines[1:]:
+        parts = line.split(",")
+        cols[0].append(int(parts[0]))
+        cols[1].append(int(parts[1]))
+        cols[2].append(int(parts[2]))
+        cols[3].append(float(parts[3]))
+        cols[4].append(float(parts[4]))
+        cols[5].append(float(parts[5]))
+        cols[6].append(int(parts[6]))
+        cols[7].append(-1 if parts[7] == "" else int(parts[7]))
+    return RegretTrace(
+        algorithm="",
+        replication=-1,
+        ts=np.array(cols[0], dtype=int),
+        arms=np.array(cols[1], dtype=int),
+        optimal_arms=np.array(cols[2], dtype=int),
+        rewards=np.array(cols[3], dtype=float),
+        inst_regret=np.array(cols[4], dtype=float),
+        cum_regret=np.array(cols[5], dtype=float),
+        mle_converged=np.array(cols[6], dtype=int),
+        stages=np.array(cols[7], dtype=int),
+    )
+
+
 def optimal_arm(env, contexts: np.ndarray) -> int:
     # mu is strictly increasing, so the linear scale has the same argmax.
     return int(np.argmax(contexts @ env.theta_star))
@@ -227,9 +282,30 @@ def instantaneous_regret(env, contexts: np.ndarray, chosen: int) -> float:
     return float(means.max() - means[chosen])
 
 
-def partition_ok(policy, t: int) -> bool:
-    """A SupCB-GLM policy's F and stage sets partition {1..t} with no overlap."""
-    groups = [policy.init_rounds, *policy.stage_sets]
+class SupCbRounds:
+    """The rounds a SupCB-GLM policy files into F and into each stage set
+    Psi_0..Psi_S, recorded by wrapping the policy's ``update``."""
+
+    def __init__(self, policy):
+        self.init_rounds: list[int] = []
+        self.stage_sets: list[list[int]] = [[] for _ in range(policy.S + 1)]
+        update = policy.update
+
+        def recording_update(t, arm, x, y):
+            # select() left the receiving stage in _pending; None means F.
+            pending = policy._pending
+            (self.init_rounds if pending is None else self.stage_sets[pending]).append(t)
+            update(t, arm, x, y)
+
+        policy.update = recording_update
+
+    def count(self) -> int:
+        return len(self.init_rounds) + sum(len(s) for s in self.stage_sets)
+
+
+def partition_ok(rounds: SupCbRounds, t: int) -> bool:
+    """Recorded F and stage sets partition {1..t} with no overlap."""
+    groups = [rounds.init_rounds, *rounds.stage_sets]
     seen: set[int] = set()
     total = 0
     for group in groups:
@@ -355,7 +431,7 @@ def reference_run_ucb_glm_instrumented(
                 ts.append(t)
                 delta_norms.append(weighted_norm(diff, policy.design.V))
                 widths.append(weighted_norm(x, policy.design.inverse()))
-            y = env.sample_reward(x)
+            y = scalar_reward(env, x)
             policy.update(t, arm, x, y)
         runs.append(
             UcbRunStats(
@@ -381,10 +457,11 @@ def reference_simulate(
     replication: int = 0,
     observe=None,
 ):
-    """The harness's round loop as first written: one context draw, one
-    arm-means pass and one argmax per round, rows kept as tuples. The
-    bit-identity reference for ``harness.simulate``, which draws contexts
-    and scores regret a chunk of rounds at a time."""
+    """The harness's round loop as first written, for one policy: one
+    context draw, one scalar reward-noise draw, one arm-means pass and one
+    argmax per round, rows kept as tuples. The bit-identity reference for
+    ``harness.simulate``, which draws contexts and noise and scores regret
+    a chunk of rounds at a time, once for all of a replication's policies."""
     from glmbandit.harness import RegretTrace
 
     rows = []
@@ -395,7 +472,7 @@ def reference_simulate(
         x = contexts[arm]
         if observe is not None:
             observe(t, x)
-        y = env.sample_reward(x)
+        y = scalar_reward(env, x)
         policy.update(t, arm, x, y)
         means = env.arm_means(contexts)
         optimal = int(np.argmax(means))

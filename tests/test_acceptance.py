@@ -33,10 +33,13 @@ from glmbandit.validation import (
 from glmbandit import rng as streams
 
 from oracles import (
+    SupCbRounds,
+    consistency_error,
     grad_ascent_mle,
     instantaneous_regret,
     partition_ok,
     random_logistic_instance,
+    scalar_reward,
 )
 
 
@@ -89,10 +92,10 @@ def test_criterion_2_sherman_morrison_consistency():
         drifted.update(gen.standard_normal(4) / 2.0, 0.0)
     drifted.inverse()
     drifted._v_inv += 1e-5
-    bad = drifted.consistency_error()
+    bad = consistency_error(drifted)
     for _ in range(200):
         drifted.update(gen.standard_normal(4) / 2.0, 0.0)
-    repaired = drifted.consistency_error()
+    repaired = consistency_error(drifted)
     report(
         "criterion 2 (rank-one inverse maintenance)",
         err <= 1e-8 and direct <= 1e-8 and bad > 1e-8 and repaired <= 1e-10,
@@ -188,22 +191,22 @@ def test_criterion_7_supcb_structure_and_band():
             "supcb-glm", sup_cfg, link,
             streams.stream(spec.master_seed, rep, streams.POLICY), env.theta_star,
         )
+        rounds = SupCbRounds(policy)
         cum = 0.0
         for t in range(1, spec.T + 1):
             contexts = env.sample_contexts()
             arm = policy.select(t, contexts)
             x = contexts[arm]
-            policy.update(t, arm, x, env.sample_reward(x))
+            policy.update(t, arm, x, scalar_reward(env, x))
             cum += instantaneous_regret(env, contexts, arm)
-            count = len(policy.init_rounds) + sum(len(s) for s in policy.stage_sets)
-            if count != t:
+            if rounds.count() != t:
                 partitioned = False
-        if not partition_ok(policy, spec.T):
+        if not partition_ok(rounds, spec.T):
             partitioned = False
         sup_finals.append(cum)
 
     ucb_finals = [
-        float(run_replication(spec, "ucb-glm", rep).cum_regret[-1])
+        float(run_replication(spec, rep, ("ucb-glm",))["ucb-glm"].cum_regret[-1])
         for rep in range(spec.replications)
     ]
     sup_mean = float(np.mean(sup_finals))

@@ -105,7 +105,8 @@ def test_bernoulli_requires_logistic():
 
 def test_bernoulli_mean_at_origin():
     env = _env(theta_norm=0.0)
-    draws = [env.sample_reward(np.array([0.3, 0.1, -0.2])) for _ in range(100_000)]
+    x = np.array([0.3, 0.1, -0.2])
+    draws = [env.sample_reward(x, u) for u in env.sample_noise(100_000)]
     assert set(np.unique(draws)) <= {0.0, 1.0}
     assert abs(np.mean(draws) - 0.5) <= 0.01
 
@@ -113,21 +114,22 @@ def test_bernoulli_mean_at_origin():
 def test_bernoulli_mean_at_log3():
     env = _env(d=2, theta_star=np.array([np.log(3.0), 0.0]))
     x = np.array([1.0, 0.0])
-    draws = [env.sample_reward(x) for _ in range(100_000)]
+    draws = [env.sample_reward(x, u) for u in env.sample_noise(100_000)]
     assert abs(np.mean(draws) - 0.75) <= 0.01
 
 
 def test_noiseless_gaussian_identity_reward_is_exact():
     env = _env(link=IDENTITY, noise="gaussian", sigma=0.0)
     x = np.array([0.2, -0.4, 0.1])
-    assert env.sample_reward(x) == pytest.approx(float(x @ env.theta_star), abs=1e-15)
+    (z,) = env.sample_noise(1)
+    assert env.sample_reward(x, z) == pytest.approx(float(x @ env.theta_star), abs=1e-15)
 
 
 def test_reward_mean_converges_at_monte_carlo_rate():
     env = _env(link=IDENTITY, noise="gaussian", sigma=0.3)
     x = np.array([0.5, 0.2, -0.1])
     n = 100_000
-    draws = np.array([env.sample_reward(x) for _ in range(n)])
+    draws = np.array([env.sample_reward(x, z) for z in env.sample_noise(n)])
     se = 0.3 / np.sqrt(n)
     assert abs(draws.mean() - env.mean_reward(x)) <= 3 * se
 

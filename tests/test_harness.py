@@ -19,7 +19,6 @@ from glmbandit.harness import (
     emit_csv,
     emit_trace_csv,
     fmt,
-    parse_trace_csv,
     resolve_policy_config,
     run_experiment,
     run_replication,
@@ -29,7 +28,7 @@ from glmbandit.harness import (
 from glmbandit.links import get_link
 from glmbandit.policies import make_policy
 
-from oracles import reference_simulate
+from oracles import parse_trace_csv, reference_simulate
 
 
 def base_spec(**overrides):
@@ -296,6 +295,23 @@ def test_worker_count_does_not_change_output(tmp_path, monkeypatch):
         ).read_bytes()
 
 
+def test_algorithm_groups_split_one_replication_across_workers(tmp_path, monkeypatch):
+    # One replication and two workers: the three algorithms run as two
+    # groups in two processes, each redrawing the same world.
+    spec = base_spec(algorithms=["ucb-glm", "epsilon-greedy", "uniform"], replications=1)
+    assert harness.algorithm_groups(spec.algorithms, 2) == [
+        ("ucb-glm", "uniform"), ("epsilon-greedy",)
+    ]
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GLM_BANDIT_THREADS", workers)
+        out = tmp_path / workers
+        emit_csv(run_experiment(spec), str(out))
+        outputs[workers] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert len(outputs["1"]) == 5
+    assert outputs["1"] == outputs["2"]
+
+
 def test_trace_round_trip(tmp_path):
     trace = RegretTrace(
         algorithm="ucb-glm",
@@ -476,8 +492,8 @@ def test_sweep_variant_matches_a_plain_run():
 
 def test_paired_replications_share_environment():
     spec = base_spec(algorithms=["oracle", "uniform"], T=50, record_every=1)
-    oracle_trace = run_replication(spec, "oracle", 0)
-    uniform_trace = run_replication(spec, "uniform", 0)
+    oracle_trace = run_replication(spec, 0, ("oracle",))["oracle"]
+    uniform_trace = run_replication(spec, 0, ("uniform",))["uniform"]
     assert np.array_equal(oracle_trace.optimal_arms, uniform_trace.optimal_arms)
 
 
@@ -486,25 +502,48 @@ def test_paired_replications_share_environment():
 WORLDS = [("logistic", "bernoulli"), ("identity", "gaussian"), ("probit", "gaussian")]
 
 
-def _world(spec: ExperimentSpec, algorithm: str):
+def _world(spec: ExperimentSpec, algorithms):
     env = build_environment(spec, 0)
-    policy = make_policy(
-        base_algorithm(algorithm),
-        resolve_policy_config(spec, algorithm),
-        get_link(spec.link),
-        streams.stream(spec.master_seed, 0, streams.POLICY),
-        env.theta_star,
-    )
-    return env, policy
+    policies = {
+        algorithm: make_policy(
+            base_algorithm(algorithm),
+            resolve_policy_config(spec, algorithm),
+            get_link(spec.link),
+            streams.stream(spec.master_seed, 0, streams.POLICY),
+            env.theta_star,
+        )
+        for algorithm in algorithms
+    }
+    return env, policies
 
 
-def _play(run, spec: ExperimentSpec, algorithm: str, recorder: bool):
-    """One run's trace and observed (t, x) pairs, or the error it raised."""
-    env, policy = _world(spec, algorithm)
+def _play_all(spec: ExperimentSpec, algorithms, recorder: bool):
+    """Each label's (trace, observed (t, x) pairs) from one ``simulate`` of
+    all ``algorithms`` in one world, or the error the run raised."""
+    env, policies = _world(spec, algorithms)
+    seen = {algorithm: [] for algorithm in algorithms}
+    observe = (lambda label, t, x: seen[label].append((t, x.copy()))) if recorder else None
+    try:
+        traces = simulate(env, policies, spec.T, spec.record_every, 0, observe=observe)
+    except Exception as exc:  # every loop must fail alike
+        return type(exc), str(exc)
+    return {label: (traces[label], seen[label]) for label in algorithms}
+
+
+def _play(spec: ExperimentSpec, algorithm: str, recorder: bool):
+    """``_play_all`` for one algorithm alone."""
+    got = _play_all(spec, [algorithm], recorder)
+    return got[algorithm] if isinstance(got, dict) else got
+
+
+def _play_reference(spec: ExperimentSpec, algorithm: str, recorder: bool):
+    """``_play`` through the per-round ``reference_simulate``."""
+    env, policies = _world(spec, [algorithm])
     seen = []
     observe = (lambda t, x: seen.append((t, x.copy()))) if recorder else None
     try:
-        trace = run(env, policy, spec.T, spec.record_every, algorithm, 0, observe=observe)
+        trace = reference_simulate(env, policies[algorithm], spec.T, spec.record_every,
+                                   algorithm, 0, observe=observe)
     except Exception as exc:  # both loops must fail alike
         return type(exc), str(exc)
     return trace, seen
@@ -527,7 +566,7 @@ def _assert_same_run(got, want):
 
 
 @st.composite
-def tape_cases(draw):
+def tape_cases(draw, many: bool = False):
     link, noise = draw(st.sampled_from(WORLDS))
     dist = draw(st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized", "fixed"]))
     d = draw(st.integers(1, 4))
@@ -535,9 +574,11 @@ def tape_cases(draw):
     T = draw(st.integers(1, 40))
     raw = dict(
         T=T, d=d, K=K, link=link, noise=noise, context_dist=dist,
-        algorithms=[draw(st.sampled_from(
-            ["uniform", "oracle", "ucb-glm", "epsilon-greedy", "supcb-glm"]
-        ))],
+        algorithms=draw(st.lists(
+            st.sampled_from(["uniform", "oracle", "ucb-glm", "epsilon-greedy", "supcb-glm"]
+                            + (["greedy"] if many else [])),
+            min_size=2 if many else 1, max_size=6 if many else 1, unique=True,
+        )),
         tau=min(T, draw(st.integers(0, 3 * d))),
         record_every=draw(st.integers(1, 7)),
         master_seed=draw(st.integers(0, 2**20)),
@@ -560,10 +601,27 @@ def test_chunked_simulate_matches_the_per_round_loop(case):
     algorithm = spec.algorithms[0]
     if base_algorithm(algorithm) == "supcb-glm" and spec.T < 2:
         return
-    want = _play(reference_simulate, spec, algorithm, recorder)
+    want = _play_reference(spec, algorithm, recorder)
     with mock.patch.object(harness, "CHUNK_ELEMENTS", budget):
-        got = _play(simulate, spec, algorithm, recorder)
+        got = _play(spec, algorithm, recorder)
     _assert_same_run(got, want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(tape_cases(many=True))
+def test_each_algorithm_of_a_shared_world_plays_as_if_alone(case):
+    spec, budget, recorder = case
+    if "supcb-glm" in spec.algorithms and spec.T < 2:
+        return
+    with mock.patch.object(harness, "CHUNK_ELEMENTS", budget):
+        together = _play_all(spec, spec.algorithms, recorder)
+        alone = {name: _play(spec, name, recorder) for name in spec.algorithms}
+    if not isinstance(together, dict):
+        # The shared run stops at the first error any of its policies raises.
+        assert together in alone.values()
+        return
+    for name in spec.algorithms:
+        _assert_same_run(together[name], alone[name])
 
 
 @pytest.mark.parametrize(
@@ -579,5 +637,5 @@ def test_simulate_at_the_real_chunk_budget(K, d, T, record_every):
     spec = base_spec(T=T, K=K, d=d, algorithms=["uniform"], context_dist="sphere", tau=None,
                      record_every=record_every)
     _assert_same_run(
-        _play(simulate, spec, "uniform", True), _play(reference_simulate, spec, "uniform", True)
+        _play(spec, "uniform", True), _play_reference(spec, "uniform", True)
     )

@@ -25,7 +25,7 @@ from glmbandit.policies import (
     ucb_scores,
 )
 
-from oracles import cb_glm_scores, partition_ok
+from oracles import SupCbRounds, cb_glm_scores, partition_ok, scalar_reward
 
 
 def config(**overrides):
@@ -169,7 +169,7 @@ def test_ucb_identity_link_reproduces_recursive_least_squares():
         contexts = env.sample_contexts()
         arm = policy.select(t, contexts)
         x = contexts[arm]
-        y = env.sample_reward(x)
+        y = scalar_reward(env, x)
         policy.update(t, arm, x, y)
         if t > 10:
             policy.refit()
@@ -209,7 +209,7 @@ def test_width_of_played_context_never_increases():
         x = contexts[arm]
         if t > 8:
             before = weighted_norm(x, policy.design.inverse())
-        policy.update(t, arm, x, env.sample_reward(x))
+        policy.update(t, arm, x, scalar_reward(env, x))
         if t > 8:
             after = weighted_norm(x, policy.design.inverse())
             assert after <= before + 1e-12
@@ -366,28 +366,28 @@ def _run_supcb(T=300, d=2, K=3, seed=8, link=LOGISTIC, noise="bernoulli", sigma=
     cfg = PolicyConfig(T=T, d=d, K=K, alpha=alpha, tau=tau, kappa=0.1,
                        sigma=0.5, delta=0.05)
     policy = SupCbGlmPolicy(cfg, link, streams.stream(seed, 0, streams.POLICY))
-    log = {"contexts": [], "xs": [], "ys": []}
+    rounds = SupCbRounds(policy)
+    log = {"contexts": [], "xs": [], "ys": [], "rounds": rounds}
     for t in range(1, T + 1):
         contexts = env.sample_contexts()
         arm = policy.select(t, contexts)
         x = contexts[arm]
-        y = env.sample_reward(x)
+        y = scalar_reward(env, x)
         policy.update(t, arm, x, y)
         log["contexts"].append(contexts)
         log["xs"].append(x)
         log["ys"].append(y)
         if check_each_round is not None:
-            check_each_round(policy, t)
+            check_each_round(rounds, t)
     return policy, log
 
 
 def test_supcb_partition_invariant_every_round():
-    def check(policy, t):
-        sizes = len(policy.init_rounds) + sum(len(s) for s in policy.stage_sets)
-        assert sizes == t
+    def check(rounds, t):
+        assert rounds.count() == t
 
-    policy, _ = _run_supcb(check_each_round=check)
-    assert partition_ok(policy, 300)
+    _, log = _run_supcb(check_each_round=check)
+    assert partition_ok(log["rounds"], 300)
 
 
 def test_supcb_stage_assignment_matches_width_rule(monkeypatch):
@@ -401,7 +401,7 @@ def test_supcb_stage_assignment_matches_width_rule(monkeypatch):
             explored.append((s, payload, float(widths[payload])))
         return kind, payload
 
-    def attach_round(policy, t):
+    def attach_round(rounds, t):
         records.extend((t, *entry) for entry in explored)
         explored.clear()
 
@@ -410,10 +410,11 @@ def test_supcb_stage_assignment_matches_width_rule(monkeypatch):
     assert records, "no exploration assignments happened"
     xs = np.vstack(log["xs"])
     ys = np.array(log["ys"])
+    rounds = log["rounds"]
     checked = 0
     for t, s, arm, width in records[:40]:
-        members = [i - 1 for i in policy.stage_sets[s] if i < t]
-        members += [i - 1 for i in policy.init_rounds]
+        members = [i - 1 for i in rounds.stage_sets[s] if i < t]
+        members += [i - 1 for i in rounds.init_rounds]
         contexts = log["contexts"][t - 1]
         scores = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
         assert scores.widths[arm] == pytest.approx(width, rel=1e-6)
@@ -427,7 +428,8 @@ def test_supcb_stage_scores_match_pure_op():
     contexts = log["contexts"][-1]
     xs = np.vstack(log["xs"])
     ys = np.array(log["ys"])
-    members = [i - 1 for i in policy.stage_sets[1]] + [i - 1 for i in policy.init_rounds]
+    rounds = log["rounds"]
+    members = [i - 1 for i in rounds.stage_sets[1]] + [i - 1 for i in rounds.init_rounds]
     pure = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
     means, widths = policy._stage_scores(1, contexts)
     assert np.allclose(means, pure.means, atol=1e-6)
@@ -435,13 +437,14 @@ def test_supcb_stage_scores_match_pure_op():
 
 
 def test_supcb_exploit_rounds_never_feed_fits():
-    policy, _ = _run_supcb(T=300)
-    fitted_rounds = set(policy.init_rounds)
+    policy, log = _run_supcb(T=300)
+    rounds = log["rounds"]
+    fitted_rounds = set(rounds.init_rounds)
     for s in range(1, policy.S + 1):
-        fitted_rounds.update(policy.stage_sets[s])
-    assert set(policy.stage_sets[0]).isdisjoint(fitted_rounds)
+        fitted_rounds.update(rounds.stage_sets[s])
+    assert set(rounds.stage_sets[0]).isdisjoint(fitted_rounds)
     design_ns = [d.n for d in policy._stage_designs[1:] if d is not None]
-    expected = [len(policy.init_rounds) + len(policy.stage_sets[s])
+    expected = [len(rounds.init_rounds) + len(rounds.stage_sets[s])
                 for s in range(1, policy.S + 1)]
     assert design_ns == expected
 
@@ -458,7 +461,6 @@ def test_supcb_forced_exploit_at_stage_cap():
         arm = policy.select(t, contexts)
         policy.update(t, arm, contexts[arm], 1.0)
     policy.S = 1  # lower the cap so stage 1 is terminal
-    policy.stage_sets = policy.stage_sets[:2]
     policy._stage_designs = policy._stage_designs[:2]
     policy._stage_thetas = policy._stage_thetas[:2]
     policy._stage_dirty = policy._stage_dirty[:2]
@@ -472,10 +474,10 @@ def test_supcb_forced_exploit_at_stage_cap():
 
 
 def test_supcb_runs_deterministically():
-    a, _ = _run_supcb(T=150, seed=9)
-    b, _ = _run_supcb(T=150, seed=9)
-    assert a.stage_sets == b.stage_sets
-    assert a.init_rounds == b.init_rounds
+    _, a = _run_supcb(T=150, seed=9)
+    _, b = _run_supcb(T=150, seed=9)
+    assert a["rounds"].stage_sets == b["rounds"].stage_sets
+    assert a["rounds"].init_rounds == b["rounds"].init_rounds
 
 
 def test_ucb_runs_deterministically():
@@ -492,7 +494,7 @@ def test_ucb_runs_deterministically():
             arm = policy.select(t, contexts)
             actions.append(arm)
             x = contexts[arm]
-            policy.update(t, arm, x, env.sample_reward(x))
+            policy.update(t, arm, x, scalar_reward(env, x))
         return actions
 
     assert run() == run()

@@ -3,9 +3,10 @@ functions and methods by name from outside the package. A rename in the
 package must fail this suite rather than break or silently thin the trace."""
 
 import importlib.util
+import math
 from pathlib import Path
 
-from glmbandit import validation
+from glmbandit import harness, validation
 from glmbandit.links import LOGISTIC
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -46,5 +47,29 @@ def test_tracer_wraps_every_named_hook_and_restores_it():
     # simulate still draws through sample_context_batch and scores through
     # Environment.arm_means, whatever chunks it works in.
     assert metrics["environment.context_draws"] > 0.0
+    assert metrics["environment.regret_s"] > 0.0
+    assert metrics["environment.rewards_s"] > 0.0
+
+
+def test_one_world_per_replication_draws_each_chunk_once(monkeypatch):
+    # Three algorithms in one replication share each chunk's context tape,
+    # so the draws count chunks, not chunks times algorithms.
+    monkeypatch.setenv(harness.THREADS_ENV_VAR, "1")
+    spec = harness.ExperimentSpec.from_dict(dict(
+        T=300, d=20, K=100, link="identity", noise="gaussian", sigma=0.1,
+        context_dist="sphere", algorithms=["uniform", "oracle", "greedy"],
+        replications=1, master_seed=3, record_every=7,
+    ))
+    chunk = harness.CHUNK_ELEMENTS // (spec.K * spec.d)
+    tracing = _load_tracing()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        result = harness.run_experiment(spec)
+    finally:
+        tracer.uninstall()
+    assert len(result.traces) == 3
+    metrics = tracing.layer_metrics(tracer.spans)
+    assert metrics["environment.context_draws"] == math.ceil(spec.T / chunk)
     assert metrics["environment.regret_s"] > 0.0
     assert metrics["environment.rewards_s"] > 0.0
