@@ -15,7 +15,7 @@ import numpy as np
 
 from .environment import sub_gaussian_sigma
 from .errors import InvalidConfigError, NumericalError
-from .harness import ExperimentSpec, emit_csv, run_experiment, sweep, sweep_type
+from .harness import ExperimentSpec, emit_csv, run_experiment, sweep, sweep_type, write_atomic
 from .links import get_link
 from .validation import (
     ValidationSpec,
@@ -176,9 +176,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             report = _run_check(args.check, cfg)
             os.makedirs(args.out, exist_ok=True)
             path = os.path.join(args.out, f"{args.check}_report.json")
-            with open(path, "w") as fh:
-                json.dump(report, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+            write_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
             print(f"wrote {path}")
         else:
             spec, out_dir = _experiment_spec(args)

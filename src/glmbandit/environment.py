@@ -1,9 +1,11 @@
 """Synthetic ground-truth world: contexts, rewards, and arm means.
 
 The environment is the only component that holds the true parameter
-vector.  Rewards follow ``Y = mu(X'theta*) + eps`` where the noise is
-either exact Bernoulli deviation (logistic link only; sub-Gaussian with
-scale 1/2) or centered Gaussian with a configured scale.  Gaussian rewards
+vector and the only implementation of the generative model: bandit runs
+and the Monte Carlo validation checks both draw through it.  Rewards
+follow ``Y = mu(X'theta*) + eps`` where the noise is either exact
+Bernoulli deviation (logistic link only; sub-Gaussian with scale 1/2) or
+centered Gaussian with a configured scale.  Gaussian rewards
 are deliberately not clipped to [0, 1]: clipping would break the exact GLM
 mean structure, and only sub-Gaussianity matters downstream.
 """
@@ -23,6 +25,21 @@ CONTEXT_DISTRIBUTIONS = ("uniform_ball", "sphere", "gaussian_normalized", "fixed
 NOISE_KINDS = ("bernoulli", "gaussian")
 
 BERNOULLI_SUB_GAUSSIAN_SIGMA = 0.5
+
+
+def check_world(link_kind: str, noise: str, sigma: float | None, context_dist: str) -> None:
+    """Reject a world the generative model cannot play; each message names
+    the offending config key."""
+    if noise not in NOISE_KINDS:
+        raise InvalidConfigError(f"noise: unknown noise kind {noise!r}")
+    if noise == "bernoulli" and link_kind != "logistic":
+        raise InvalidConfigError(
+            f"noise: bernoulli rewards require the logistic link, not {link_kind!r}"
+        )
+    if noise == "gaussian" and (sigma is None or sigma < 0):
+        raise InvalidConfigError("sigma: gaussian noise requires a nonnegative sigma")
+    if context_dist not in CONTEXT_DISTRIBUTIONS:
+        raise InvalidConfigError(f"context_dist: unknown context distribution {context_dist!r}")
 
 
 def sub_gaussian_sigma(noise: str, sigma: float | None) -> float:
@@ -130,14 +147,7 @@ class Environment:
     fixed_contexts: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        if self.noise not in NOISE_KINDS:
-            raise InvalidConfigError(f"unknown noise kind {self.noise!r}")
-        if self.noise == "bernoulli" and self.link.kind != "logistic":
-            raise InvalidConfigError("bernoulli rewards require the logistic link")
-        if self.noise == "gaussian" and self.sigma < 0:
-            raise InvalidConfigError("gaussian noise scale must be nonnegative")
-        if self.context_dist not in CONTEXT_DISTRIBUTIONS:
-            raise InvalidConfigError(f"unknown context distribution {self.context_dist!r}")
+        check_world(self.link.kind, self.noise, self.sigma, self.context_dist)
         self.theta_star = np.asarray(self.theta_star, dtype=float)
         if self.theta_star.shape != (self.d,):
             raise InvalidConfigError("theta_star must have length d")
@@ -208,11 +218,26 @@ class Environment:
             return self.rewards_rng.random(rounds)
         return self.rewards_rng.standard_normal(rounds)
 
+    def rewards(self, means: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Rewards for the given means and ``sample_noise`` values:
+        ``u < mean`` for Bernoulli rewards and ``mean + sigma * z`` for
+        Gaussian ones."""
+        if self.noise == "bernoulli":
+            return np.asarray(noise < means, dtype=float)
+        return means + self.sigma * noise
+
     def sample_reward(self, x: np.ndarray, noise: float) -> float:
         """The reward for the chosen feature vector, given the round's value
-        from ``sample_noise``: ``u < mean`` for Bernoulli rewards and
-        ``mean + sigma * z`` for Gaussian ones."""
-        mean = self.mean_reward(x)
-        if self.noise == "bernoulli":
-            return float(noise < mean)
-        return mean + self.sigma * float(noise)
+        from ``sample_noise``."""
+        return float(self.rewards(self.mean_reward(x), noise))
+
+    def sample_log(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """n iid (context, reward) pairs plus the realized noise ``y - mean``.
+
+        Gaussian noise is sigma times a unit normal draw, so scaling sigma
+        scales the realized noise linearly for a fixed seed.
+        """
+        xs = sample_context_batch(self.contexts_rng, self.context_dist, n, self.d)
+        means = self.arm_means(xs)
+        ys = self.rewards(means, self.sample_noise(n))
+        return xs, ys, ys - means

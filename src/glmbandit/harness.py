@@ -10,6 +10,7 @@ output independent of execution order, grouping and worker count.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import math
@@ -25,8 +26,8 @@ import numpy as np
 from . import __about__
 from . import rng as streams
 from .environment import (
-    CONTEXT_DISTRIBUTIONS,
     Environment,
+    check_world,
     second_moment_min_eig,
     sub_gaussian_sigma,
 )
@@ -197,17 +198,14 @@ class ExperimentSpec:
                 raise InvalidConfigError(
                     f"unknown algorithm {name!r}; expected one of {POLICY_KINDS}"
                 )
-        if self.context_dist not in CONTEXT_DISTRIBUTIONS:
-            raise InvalidConfigError(f"unknown context distribution {self.context_dist!r}")
+        get_link(self.link)
+        check_world(self.link, self.noise, self.sigma, self.context_dist)
         if self.context_dist == "fixed" and self.fixed_contexts is None:
             raise InvalidConfigError("context_dist 'fixed' requires fixed_contexts")
-        if self.noise == "gaussian" and self.sigma is None:
-            raise InvalidConfigError("gaussian noise requires sigma")
         if self.tau is not None and not 0 <= self.tau <= self.T:
             raise InvalidConfigError("tau must lie in [0, T]")
         if self.theta_star is not None and len(self.theta_star) != self.d:
             raise InvalidConfigError("theta_star must have length d")
-        get_link(self.link)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -598,6 +596,21 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 # File output ---------------------------------------------------------------
 
 
+def write_atomic(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` through a sibling temp file and
+    ``os.replace``: a failed write leaves any earlier file whole and no
+    partial or temp file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-._" else "_" for ch in name)
 
@@ -620,8 +633,7 @@ def emit_trace_csv(trace: RegretTrace, path: str) -> None:
                 )
             )
         )
-    with open(path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
@@ -653,8 +665,7 @@ def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
                 )
             )
     summary_path = os.path.join(out_dir, "summary.csv")
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(summary_path, "\n".join(lines) + "\n")
 
     written = {"summary": summary_path}
     for trace in result.traces:
@@ -673,9 +684,7 @@ def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         "version": __about__.__version__,
     }
     meta_path = os.path.join(out_dir, "meta.json")
-    with open(meta_path, "w", newline="") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(meta_path, json.dumps(meta, indent=2, sort_keys=True) + "\n")
     written["meta"] = meta_path
     return written
 

@@ -2,11 +2,13 @@
 
 Each check replays the generative model many times, evaluates the claimed
 inequality on every replication, and reports the empirical hit rate next
-to the nominal level.  Over-coverage always counts as a pass (the
-guarantees are one-sided); the standard acceptance slack is three binomial
-standard errors.  A finite probe over directions or replications can only
-falsify, never certify, a for-all statement, so reports record exactly
-what was probed.
+to the nominal level.  Every replication's theta*, contexts and rewards
+come from that replication's ``Environment``, the world model the bandit
+runs play, so a world the environment rejects is never checked.
+Over-coverage always counts as a pass (the guarantees are one-sided); the
+standard acceptance slack is three binomial standard errors.  A finite
+probe over directions or replications can only falsify, never certify, a
+for-all statement, so reports record exactly what was probed.
 """
 
 from __future__ import annotations
@@ -17,11 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as streams
-from .design import min_eigenvalue, weighted_norm
+from .design import min_eigenvalue, weighted_norm, weighted_norms
 from .environment import (
-    CONTEXT_DISTRIBUTIONS,
-    NOISE_KINDS,
-    draw_theta_star,
+    Environment,
+    check_world,
     sample_context_batch,
     second_moment_min_eig,
     sub_gaussian_sigma,
@@ -108,13 +109,10 @@ class ValidationSpec:
     def validate(self) -> None:
         check_spec_types(self)
         get_link(self.link)
-        if self.noise not in NOISE_KINDS:
-            raise InvalidConfigError(f"unknown noise kind {self.noise!r}")
-        if self.noise == "gaussian" and self.sigma is None:
-            raise InvalidConfigError("gaussian noise requires sigma")
+        check_world(self.link, self.noise, self.sigma, self.context_dist)
         # The checks draw iid contexts; there is no key for fixed ones.
-        if self.context_dist not in CONTEXT_DISTRIBUTIONS or self.context_dist == "fixed":
-            raise InvalidConfigError(f"unsupported context distribution {self.context_dist!r}")
+        if self.context_dist == "fixed":
+            raise InvalidConfigError("context_dist: 'fixed' is not supported by the checks")
         if min(self.d, self.n, self.K, self.T, self.replications) < 1:
             raise InvalidConfigError("d, n, K, T and replications must be positive")
         if self.master_seed < 0:
@@ -147,33 +145,6 @@ def probe_directions(d: int, n_random: int, master_seed: int = 0) -> np.ndarray:
         z = gen.standard_normal((n_random, d))
         dirs.append(z / np.linalg.norm(z, axis=1)[:, None])
     return np.vstack(dirs)
-
-
-def _draw_sample(
-    link: LinkFunction,
-    n: int,
-    d: int,
-    noise: str,
-    sigma: float,
-    context_dist: str,
-    theta: np.ndarray,
-    master_seed: int,
-    replication: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """n iid (context, reward) pairs plus the realized noise vector.
-
-    Gaussian noise is sigma times a unit normal draw, so scaling sigma
-    scales the realized noise linearly for a fixed seed.
-    """
-    ctx_gen = streams.stream(master_seed, replication, streams.CONTEXTS)
-    rew_gen = streams.stream(master_seed, replication, streams.REWARDS)
-    xs = sample_context_batch(ctx_gen, context_dist, n, d)
-    means = np.asarray(link.mu(xs @ theta), dtype=float)
-    if noise == "bernoulli":
-        ys = (rew_gen.random(n) < means).astype(float)
-    else:
-        ys = means + sigma * rew_gen.standard_normal(n)
-    return xs, ys, ys - means
 
 
 def normality_condition_threshold(
@@ -225,15 +196,14 @@ def theorem1_coverage(
     hit_flags: list[bool] = []
     condition_all = True
     for rep in range(replications):
-        if theta_star is None:
-            theta_gen = streams.stream(master_seed, rep, streams.THETA)
-            theta = draw_theta_star(theta_gen, d, theta_norm)
-        else:
-            theta = np.asarray(theta_star, dtype=float)
-        kappa = compute_kappa(link, float(np.linalg.norm(theta)))
-        xs, ys, _ = _draw_sample(
-            link, n, d, noise, sig, context_dist, theta, master_seed, rep
+        # sample_log draws no arm set, so one arm stands in for K.
+        env = Environment.build(
+            d=d, K=1, link=link, noise=noise, sigma=sig, context_dist=context_dist,
+            theta_norm=theta_norm, master_seed=master_seed, replication=rep,
+            theta_star=theta_star,
         )
+        kappa = compute_kappa(link, float(np.linalg.norm(env.theta_star)))
+        xs, ys, _ = env.sample_log(n)
         v = xs.T @ xs
         lam = min_eigenvalue(v)
         condition_all &= lam >= normality_condition_threshold(link, d, sig, delta, kappa)
@@ -241,11 +211,8 @@ def theorem1_coverage(
         if not result.converged:
             nonconvergent += 1
             continue
-        v_inv = np.linalg.inv(v)
-        gaps = np.abs(directions @ (result.theta - theta))
-        widths = np.sqrt(
-            np.clip(np.einsum("ij,jk,ik->i", directions, v_inv, directions), 0.0, None)
-        )
+        gaps = np.abs(directions @ (result.theta - env.theta_star))
+        widths = weighted_norms(directions, np.linalg.inv(v))
         bound = (3.0 * sig / kappa) * math.sqrt(math.log(1.0 / delta)) * widths
         ok = bool((gaps <= bound + 1e-12).all())
         hit_flags.append(ok)
@@ -509,14 +476,13 @@ def znorm_bound_check(
     hit_flags = []
     bound = 4.0 * sig * math.sqrt(d + math.log(1.0 / delta))
     for rep in range(replications):
-        if theta_star is None:
-            theta_gen = streams.stream(master_seed, rep, streams.THETA)
-            theta = draw_theta_star(theta_gen, d, theta_norm)
-        else:
-            theta = np.asarray(theta_star, dtype=float)
-        xs, _, eps = _draw_sample(
-            link, n, d, noise, sig, context_dist, theta, master_seed, rep
+        # sample_log draws no arm set, so one arm stands in for K.
+        env = Environment.build(
+            d=d, K=1, link=link, noise=noise, sigma=sig, context_dist=context_dist,
+            theta_norm=theta_norm, master_seed=master_seed, replication=rep,
+            theta_star=theta_star,
         )
+        xs, _, eps = env.sample_log(n)
         v = xs.T @ xs
         z = xs.T @ eps
         norm = weighted_norm(z, np.linalg.inv(v))

@@ -8,8 +8,9 @@ polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, per-index stage
 scores, regret of one round, scalar reward draws, the SupCB-GLM round
 recorder and partition check, the inverse consistency error, the trace
-file reader), the instrumented UCB-GLM runner's own loop and the
-harness's per-round simulation loop as references.
+file reader), the instrumented UCB-GLM runner's own loop, the validation
+checks' own sampler and the harness's per-round simulation loop as
+references.
 """
 
 from __future__ import annotations
@@ -446,6 +447,40 @@ def reference_run_ucb_glm_instrumented(
             )
         )
     return runs
+
+
+def reference_draw_sample(
+    link,
+    n: int,
+    d: int,
+    noise: str,
+    sigma: float,
+    context_dist: str,
+    theta: np.ndarray,
+    master_seed: int,
+    replication: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """n iid (context, reward) pairs plus the realized noise vector.
+
+    Gaussian noise is sigma times a unit normal draw, so scaling sigma
+    scales the realized noise linearly for a fixed seed.
+
+    The validation checks' own sampler as first written, with its own
+    stream layout and reward formula; the bit-identity reference for
+    ``Environment.sample_log``, which the checks now draw through.
+    """
+    from glmbandit import rng as streams
+    from glmbandit.environment import sample_context_batch
+
+    ctx_gen = streams.stream(master_seed, replication, streams.CONTEXTS)
+    rew_gen = streams.stream(master_seed, replication, streams.REWARDS)
+    xs = sample_context_batch(ctx_gen, context_dist, n, d)
+    means = np.asarray(link.mu(xs @ theta), dtype=float)
+    if noise == "bernoulli":
+        ys = (rew_gen.random(n) < means).astype(float)
+    else:
+        ys = means + sigma * rew_gen.standard_normal(n)
+    return xs, ys, ys - means
 
 
 def reference_simulate(

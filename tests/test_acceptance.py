@@ -18,7 +18,7 @@ from glmbandit.harness import (
     emit_csv,
     resolve_policy_config,
     run_experiment,
-    run_replication,
+    simulate,
 )
 from glmbandit.links import IDENTITY, LOGISTIC, compute_kappa, get_link
 from glmbandit.policies import make_policy
@@ -36,10 +36,8 @@ from oracles import (
     SupCbRounds,
     consistency_error,
     grad_ascent_mle,
-    instantaneous_regret,
     partition_ok,
     random_logistic_instance,
-    scalar_reward,
 )
 
 
@@ -181,34 +179,31 @@ def test_criterion_7_supcb_structure_and_band():
             record_every=500,
         )
     )
-    sup_cfg = resolve_policy_config(spec, "supcb-glm")
     link = get_link(spec.link)
     partitioned = True
-    sup_finals = []
+    sup_finals, ucb_finals = [], []
     for rep in range(spec.replications):
         env = build_environment(spec, rep)
-        policy = make_policy(
-            "supcb-glm", sup_cfg, link,
-            streams.stream(spec.master_seed, rep, streams.POLICY), env.theta_star,
-        )
-        rounds = SupCbRounds(policy)
-        cum = 0.0
-        for t in range(1, spec.T + 1):
-            contexts = env.sample_contexts()
-            arm = policy.select(t, contexts)
-            x = contexts[arm]
-            policy.update(t, arm, x, scalar_reward(env, x))
-            cum += instantaneous_regret(env, contexts, arm)
-            if rounds.count() != t:
+        policies = {
+            name: make_policy(
+                name, resolve_policy_config(spec, name), link,
+                streams.stream(spec.master_seed, rep, streams.POLICY), env.theta_star,
+            )
+            for name in ("supcb-glm", "ucb-glm")
+        }
+        rounds = SupCbRounds(policies["supcb-glm"])
+
+        def observe(label, t, x):
+            nonlocal partitioned
+            # observe runs before update, so rounds 1..t-1 are filed.
+            if label == "supcb-glm" and rounds.count() != t - 1:
                 partitioned = False
+
+        traces = simulate(env, policies, spec.T, spec.record_every, rep, observe)
         if not partition_ok(rounds, spec.T):
             partitioned = False
-        sup_finals.append(cum)
-
-    ucb_finals = [
-        float(run_replication(spec, rep, ("ucb-glm",))["ucb-glm"].cum_regret[-1])
-        for rep in range(spec.replications)
-    ]
+        sup_finals.append(float(traces["supcb-glm"].cum_regret[-1]))
+        ucb_finals.append(float(traces["ucb-glm"].cum_regret[-1]))
     sup_mean = float(np.mean(sup_finals))
     ucb_mean = float(np.mean(ucb_finals))
     within_band = sup_mean <= 3.0 * ucb_mean

@@ -1,8 +1,10 @@
+import errno
 import json
+import os
 
 import pytest
 
-from glmbandit import cli
+from glmbandit import cli, harness
 from glmbandit.cli import cli_main
 from glmbandit.links import LOGISTIC, compute_kappa
 
@@ -63,6 +65,8 @@ def test_invalid_config_exits_1(tmp_path, capsys):
         {"theta_star": ["abc", 1]},
         {"algorithms": "uniform"},
         {"master_seed": -1},
+        {"noise": "poisson"},
+        {"sigma": -0.1},
     ],
 )
 def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrides, capsys):
@@ -73,6 +77,51 @@ def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrid
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 1
     assert next(iter(overrides)) in capsys.readouterr().err
     assert not (out / "summary.csv").exists()
+
+
+class _FullDisk:
+    """A file that takes the first half of a write, then fails as a full
+    disk would."""
+
+    def __init__(self, path, mode, **kwargs):
+        self._fh = open(path, mode, **kwargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, text):
+        self._fh.write(text[: len(text) // 2])
+        self._fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_failed_write_keeps_the_earlier_file_and_exits_2(
+    tmp_path, run_config, monkeypatch, capsys, command
+):
+    out = tmp_path / "out"
+    if command == "run":
+        first = ["run", "--config", run_config, "--out", str(out)]
+        second = first + ["--seed", "99"]
+        name = "summary.csv"
+    else:
+        val = dict(link="identity", d=2, n=100, sigma=0.1, replications=5, master_seed=1)
+        cfg_a = write_json(tmp_path / "a.json", val)
+        cfg_b = write_json(tmp_path / "b.json", {**val, "replications": 7})
+        first = ["validate", "--check", "znorm", "--config", cfg_a, "--out", str(out)]
+        second = ["validate", "--check", "znorm", "--config", cfg_b, "--out", str(out)]
+        name = "znorm_report.json"
+    assert cli_main(first) == 0
+    before = (out / name).read_bytes()
+    files = sorted(os.listdir(out))
+    monkeypatch.setattr(harness, "open", _FullDisk, raising=False)
+    assert cli_main(second) == 2
+    assert "No space left" in capsys.readouterr().err
+    assert (out / name).read_bytes() == before
+    assert sorted(os.listdir(out)) == files
 
 
 def test_malformed_json_exits_1(tmp_path):
@@ -163,8 +212,9 @@ def test_validate_lemma4_checks_with_the_runs_kappa(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"sigma": float("nan")}, {"d": "3"}, {"delta": 2.0}, {"replications": 0}],
-    ids=["sigma-nan", "d-str", "delta-2", "replications-0"],
+    [{"sigma": float("nan")}, {"d": "3"}, {"delta": 2.0}, {"replications": 0},
+     {"noise": "bernoulli"}],
+    ids=["sigma-nan", "d-str", "delta-2", "replications-0", "bernoulli-identity"],
 )
 @pytest.mark.parametrize("check", ["theorem1", "lemma4"])
 def test_validate_bad_values_exit_1(tmp_path, capsys, overrides, check):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmbandit import rng as streams
 from glmbandit.environment import (
@@ -10,9 +11,9 @@ from glmbandit.environment import (
     sub_gaussian_sigma,
 )
 from glmbandit.errors import InvalidConfigError
-from glmbandit.links import IDENTITY, LOGISTIC, get_link
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, get_link
 
-from oracles import instantaneous_regret, optimal_arm
+from oracles import instantaneous_regret, optimal_arm, reference_draw_sample
 
 
 def _env(**overrides):
@@ -187,3 +188,37 @@ def test_environment_field_validation():
             context_dist="fixed", theta_norm=1.0, master_seed=0, replication=0,
             fixed_contexts=np.array([[2.0, 0.0], [0.0, 1.0]]),
         )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    world=st.sampled_from([(LOGISTIC, "bernoulli"), (IDENTITY, "gaussian"), (PROBIT, "gaussian")]),
+    dist=st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized"]),
+    given_theta=st.booleans(),
+    d=st.integers(1, 6),
+    n=st.integers(1, 300),
+    sigma=st.floats(0.0, 2.0),
+    theta_norm=st.floats(0.0, 3.0),
+    master_seed=st.integers(0, 2**32 - 1),
+    replications=st.lists(st.integers(0, 10**6), min_size=1, max_size=4),
+)
+def test_sample_log_matches_the_reference_sampler(
+    world, dist, given_theta, d, n, sigma, theta_norm, master_seed, replications
+):
+    link, noise = world
+    sig = sub_gaussian_sigma(noise, sigma)
+    for rep in replications:
+        if given_theta:
+            theta = np.random.default_rng([master_seed, rep]).uniform(-1.0, 1.0, d)
+        else:
+            theta = draw_theta_star(streams.stream(master_seed, rep, streams.THETA), d, theta_norm)
+        env = Environment.build(
+            d=d, K=1, link=link, noise=noise, sigma=sig, context_dist=dist,
+            theta_norm=theta_norm, master_seed=master_seed, replication=rep,
+            theta_star=theta if given_theta else None,
+        )
+        assert np.array_equal(env.theta_star, theta)
+        got = env.sample_log(n)
+        want = reference_draw_sample(link, n, d, noise, sig, dist, theta, master_seed, rep)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)

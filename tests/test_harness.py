@@ -86,6 +86,16 @@ def test_gaussian_requires_sigma():
 
 @pytest.mark.parametrize(
     "overrides",
+    [{"noise": "poisson"}, {"noise": "bernoulli"}, {"sigma": -0.1}, {"context_dist": "torus"}],
+    ids=["noise-poisson", "bernoulli-identity", "sigma-negative", "context-torus"],
+)
+def test_bad_world_rejected_when_parsed(overrides):
+    with pytest.raises(InvalidConfigError, match=next(iter(overrides))):
+        base_spec(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
     [
         {"sigma": math.nan},
         {"sigma": math.inf},

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from glmbandit import policies
 from glmbandit import rng as streams
@@ -355,6 +356,46 @@ def test_stage_decision_leader_always_survives():
         if kind == "advance":
             assert payload
             assert greedy_argmax(means, active) in payload
+
+
+@st.composite
+def _stage_cases(draw):
+    k = draw(st.integers(1, 8))
+    s = draw(st.integers(1, 12))
+    T = draw(st.integers(2, 10**8))
+    level, floor = 2.0 ** (-s), 1.0 / math.sqrt(T)
+    # Widths at and around both thresholds reach every branch.
+    width = st.one_of(
+        st.floats(0.0, 2.0),
+        st.floats(0.0, level),
+        st.floats(0.0, floor),
+        st.sampled_from([0.0, level, floor]),
+    )
+    means = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    widths = np.array(draw(st.lists(width, min_size=k, max_size=k)))
+    active = sorted(draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    return means, widths, active, s, T
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stage_cases())
+def test_stage_decision_rules(case):
+    means, widths, active, s, T = case
+    kind, payload = stage_decision(means, widths, active, s, T)
+    wide = [a for a in active if widths[a] > 2.0 ** (-s)]
+    narrow = all(widths[a] <= 1.0 / math.sqrt(T) for a in active)
+    best = max(means[a] for a in active)
+    if wide:
+        assert (kind, payload) == ("explore", min(wide))
+    elif narrow:
+        assert kind == "exploit"
+        assert payload == min(a for a in active if means[a] == best)
+    else:
+        assert kind == "advance"
+        assert payload and set(payload) <= set(active)
+        assert max(means[a] for a in payload) == best
+        # No arm within 2 * 2^-s of the leader is eliminated.
+        assert {a for a in active if means[a] >= best - 2.0 * 2.0 ** (-s)} <= set(payload)
 
 
 def _run_supcb(T=300, d=2, K=3, seed=8, link=LOGISTIC, noise="bernoulli", sigma=0.5,

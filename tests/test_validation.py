@@ -232,6 +232,8 @@ def test_validation_spec_defaults_and_unknown_keys():
         {"n_grid": "100"},
         {"link": "cauchit"},
         {"noise": "poisson"},
+        {"noise": "bernoulli"},
+        {"noise": "gaussian", "sigma": -0.1},
         {"context_dist": "fixed"},
         {"noise": "gaussian", "sigma": None},
     ],
