@@ -475,11 +475,6 @@ def run_replication(
     return simulate(env, policies, spec.T, spec.record_every, replication)
 
 
-def _run_unit(payload: tuple[dict, int, tuple[str, ...]]) -> list[RegretTrace]:
-    raw, replication, algorithms = payload
-    return list(run_replication(ExperimentSpec.from_dict(raw), replication, algorithms).values())
-
-
 def worker_count(spec: ExperimentSpec) -> int:
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
@@ -578,14 +573,14 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     workers = worker_count(spec)
     n_groups = min(len(spec.algorithms), -(-workers // spec.replications))
     groups = algorithm_groups(spec.algorithms, n_groups)
-    units = [(rep, group) for rep in range(spec.replications) for group in groups]
-    if workers <= 1 or len(units) <= 1:
-        traces = [tr for rep, group in units for tr in run_replication(spec, rep, group).values()]
+    reps = [rep for rep in range(spec.replications) for _ in groups]
+    units = ([spec] * len(reps), reps, groups * spec.replications)
+    if workers <= 1 or len(reps) <= 1:
+        results = list(map(run_replication, *units))
     else:
-        raw = spec.to_dict()
-        payloads = [(raw, rep, group) for rep, group in units]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = [tr for unit in pool.map(_run_unit, payloads) for tr in unit]
+            results = list(pool.map(run_replication, *units))
+    traces = [tr for result in results for tr in result.values()]
     # Deterministic order regardless of how the pool scheduled the units.
     order = {name: i for i, name in enumerate(spec.algorithms)}
     traces.sort(key=lambda tr: (order[tr.algorithm], tr.replication))

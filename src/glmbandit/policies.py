@@ -138,6 +138,32 @@ def ucb_scores(
     return contexts @ theta, alpha * weighted_norms(contexts, v_inv)
 
 
+class GlmFit:
+    """A design and the MLE on its log, warm-started from the last fit
+    (zeros before the first) and refit only after the log grew."""
+
+    def __init__(self, link: LinkFunction, design: DesignState):
+        self.link = link
+        self.design = design
+        self.theta = np.zeros(design.d)
+        self.dirty = True
+
+    def update(self, x: np.ndarray, y: float) -> None:
+        self.design.update(x, y)
+        self.dirty = True
+
+    def refit(self) -> bool:
+        """Refit if the log grew; False when that fit did not converge."""
+        if not self.dirty:
+            return True
+        result = mle_fit(
+            self.link, self.design.features, self.design.rewards, warm_start=self.theta
+        )
+        self.theta = result.theta
+        self.dirty = False
+        return result.converged
+
+
 class BasePolicy:
     """Common shape: select an arm, then absorb the observed reward.
 
@@ -166,6 +192,14 @@ class BasePolicy:
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         raise NotImplementedError
+
+    def _refit(self, fit: GlmFit) -> np.ndarray:
+        """``fit``'s estimate after a refit, counting a fit that did not
+        converge; a learner's ``select`` resets ``last_mle_converged``."""
+        if not fit.refit():
+            self.n_nonconverged += 1
+            self.last_mle_converged = False
+        return fit.theta
 
 
 class UniformRandomPolicy(BasePolicy):
@@ -203,33 +237,14 @@ class OraclePolicy(BasePolicy):
 
 
 class _GlmFitPolicy(BasePolicy):
-    """Shared machinery: a design state plus a warm-started MLE."""
+    """Shared machinery: one design and its warm-started MLE."""
 
     def __init__(self, config: PolicyConfig, link: LinkFunction, rng: np.random.Generator):
         super().__init__(config, rng)
-        self.link = link
-        self.design = DesignState(config.d)
-        self.theta = np.zeros(config.d)
-        self._dirty = True
-
-    def refit(self) -> None:
-        if not self._dirty or self.design.n == 0:
-            return
-        result = mle_fit(
-            self.link,
-            self.design.features,
-            self.design.rewards,
-            warm_start=self.theta,
-        )
-        self.theta = result.theta
-        self.last_mle_converged = result.converged
-        if not result.converged:
-            self.n_nonconverged += 1
-        self._dirty = False
+        self.fit = GlmFit(link, DesignState(config.d))
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
-        self.design.update(x, y)
-        self._dirty = True
+        self.fit.update(x, y)
 
 
 class UcbGlmPolicy(_GlmFitPolicy):
@@ -245,19 +260,19 @@ class UcbGlmPolicy(_GlmFitPolicy):
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
+        self.last_mle_converged = True
         if t <= cfg.tau:
-            self.last_mle_converged = True
             return int(self.rng.integers(cfg.K))
+        design = self.fit.design
         if self.lambda_min_init is None:
-            self.lambda_min_init = min_eigenvalue(self.design.V)
-        v_inv = self.design.try_inverse()
+            self.lambda_min_init = min_eigenvalue(design.V)
+        v_inv = design.try_inverse()
         if v_inv is None:
             raise SingularDesignError(
                 f"design still singular at round {t}; initialization phase "
                 f"(tau={cfg.tau}) was insufficient"
             )
-        self.refit()
-        means, widths = ucb_scores(contexts, self.theta, v_inv, cfg.alpha)
+        means, widths = ucb_scores(contexts, self._refit(self.fit), v_inv, cfg.alpha)
         return greedy_argmax(means + widths)
 
 
@@ -273,13 +288,12 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
+        self.last_mle_converged = True
         coin = float(self.rng.random())
-        v_inv = self.design.try_inverse()
+        v_inv = self.fit.design.try_inverse()
         if coin < cfg.epsilon or v_inv is None:
-            self.last_mle_converged = True
             return int(self.rng.integers(cfg.K))
-        self.refit()
-        means, _ = ucb_scores(contexts, self.theta, v_inv, 0.0)
+        means, _ = ucb_scores(contexts, self._refit(self.fit), v_inv, 0.0)
         return greedy_argmax(means)
 
 
@@ -316,7 +330,9 @@ class SupCbGlmPolicy(BasePolicy):
     stage sets Psi_0..Psi_S (S = floor(log2 T)).  Stage s fits only on
     Psi_s united with F, so within a stage the rewards used for fitting are
     conditionally independent of each other.  Exploitation rounds land in
-    Psi_0 and never feed any fit.
+    Psi_0 and never feed any fit.  V(Psi_s u F) = V(F) + sum x x', so a
+    stage design is singular only when F's is, and then the run stops with
+    SingularDesignError at round tau + 1.
     """
 
     name = "supcb-glm"
@@ -327,67 +343,38 @@ class SupCbGlmPolicy(BasePolicy):
             raise InvalidConfigError("supcb-glm needs T >= 2")
         self.link = link
         self.S = int(math.floor(math.log2(config.T)))
-        self._init_design = DesignState(config.d)
-        self._init_theta: np.ndarray | None = None
-        self._stage_designs: list[DesignState | None] = [None] * (self.S + 1)
-        self._stage_thetas: list[np.ndarray | None] = [None] * (self.S + 1)
-        self._stage_dirty = [True] * (self.S + 1)
+        # Slot 0 logs F and is never fit; slot s fits on Psi_s united with F
+        # and is None until stage s is first scored, while Psi_s is empty.
+        self._fits: list[GlmFit | None] = [GlmFit(link, DesignState(config.d))]
+        self._fits += [None] * self.S
         self._pending: int | None = None  # stage set receiving the round
-
-    def _init_fit(self) -> np.ndarray:
-        if self._init_theta is None:
-            result = mle_fit(self.link, self._init_design.features, self._init_design.rewards)
-            self._init_theta = result.theta
-            if not result.converged:
-                self.n_nonconverged += 1
-                self.last_mle_converged = False
-        return self._init_theta
 
     def _stage_scores(self, s: int, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Means and widths at stage s, fitting on Psi_s united with F.
 
-        If that design is singular the stage falls back to the
-        initialization rounds alone; if even those are singular the run
-        cannot continue.
+        A stage scored for the first time starts its fit from a copy of F.
+        Raises SingularDesignError when the stage design is singular.
         """
-        design = self._stage_designs[s]
-        v_inv = design.try_inverse()
-        if v_inv is not None:
-            if self._stage_dirty[s]:
-                result = mle_fit(
-                    self.link,
-                    design.features,
-                    design.rewards,
-                    warm_start=self._stage_thetas[s],
-                )
-                self._stage_thetas[s] = result.theta
-                self._stage_dirty[s] = False
-                if not result.converged:
-                    self.n_nonconverged += 1
-                    self.last_mle_converged = False
-            theta = self._stage_thetas[s]
-        else:
-            v_inv = self._init_design.try_inverse()
-            if v_inv is None:
-                raise SingularDesignError(
-                    f"stage {s} and initialization designs are both singular"
-                )
-            theta = self._init_fit()
-        return ucb_scores(contexts, theta, v_inv, self.config.alpha)
+        fit = self._fits[s]
+        if fit is None:
+            fit = self._fits[s] = GlmFit(self.link, self._fits[0].design.copy())
+        v_inv = fit.design.try_inverse()
+        if v_inv is None:
+            raise SingularDesignError(
+                f"stage {s} design singular at {fit.design.n} observations; "
+                f"initialization phase (tau={self.config.tau}) was insufficient"
+            )
+        return ucb_scores(contexts, self._refit(fit), v_inv, self.config.alpha)
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
+        self.last_mle_converged = True
         if t <= cfg.tau:
             self._pending = None
-            self.last_mle_converged = True
             self.last_stage = None
             return int(self.rng.integers(cfg.K))
         if self.lambda_min_init is None:
-            # First round after initialization: every stage starts from F.
-            self.lambda_min_init = min_eigenvalue(self._init_design.V)
-            for s in range(1, self.S + 1):
-                self._stage_designs[s] = self._init_design.copy()
-        self.last_mle_converged = True
+            self.lambda_min_init = min_eigenvalue(self._fits[0].design.V)
 
         active = list(range(cfg.K))
         s = 1
@@ -412,10 +399,9 @@ class SupCbGlmPolicy(BasePolicy):
 
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         if self._pending is None:
-            self._init_design.update(x, y)
+            self._fits[0].update(x, y)
         elif self._pending >= 1:
-            self._stage_designs[self._pending].update(x, y)
-            self._stage_dirty[self._pending] = True
+            self._fits[self._pending].update(x, y)
         self._pending = None
 
 

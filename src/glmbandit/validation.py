@@ -14,6 +14,7 @@ for-all statement, so reports record exactly what was probed.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,6 +163,17 @@ def normality_condition_threshold(
     return 16.0 * sigma**2 * (d + math.log(1.0 / delta)) / kappa**2
 
 
+def _replication_logs(
+    n: int, replications: int, master_seed: int, **world
+) -> Iterator[tuple[Environment, np.ndarray, np.ndarray, np.ndarray]]:
+    """Each replication's world, built from ``Environment.build``'s keywords
+    in ``world``, and its n-row log ``(env, xs, ys, eps)``."""
+    for rep in range(replications):
+        # sample_log draws no arm set, so one arm stands in for K.
+        env = Environment.build(K=1, master_seed=master_seed, replication=rep, **world)
+        yield (env, *env.sample_log(n))
+
+
 def theorem1_coverage(
     link: LinkFunction,
     d: int,
@@ -195,15 +207,12 @@ def theorem1_coverage(
     nonconvergent = 0
     hit_flags: list[bool] = []
     condition_all = True
-    for rep in range(replications):
-        # sample_log draws no arm set, so one arm stands in for K.
-        env = Environment.build(
-            d=d, K=1, link=link, noise=noise, sigma=sig, context_dist=context_dist,
-            theta_norm=theta_norm, master_seed=master_seed, replication=rep,
-            theta_star=theta_star,
-        )
+    logs = _replication_logs(
+        n, replications, master_seed, d=d, link=link, noise=noise, sigma=sig,
+        context_dist=context_dist, theta_norm=theta_norm, theta_star=theta_star,
+    )
+    for env, xs, ys, _ in logs:
         kappa = compute_kappa(link, float(np.linalg.norm(env.theta_star)))
-        xs, ys, _ = env.sample_log(n)
         v = xs.T @ xs
         lam = min_eigenvalue(v)
         condition_all &= lam >= normality_condition_threshold(link, d, sig, delta, kappa)
@@ -347,13 +356,14 @@ def run_ucb_glm_instrumented(
     for rep in range(replications):
         env = build_environment(spec, rep)
         policy = UcbGlmPolicy(config, link, streams.stream(master_seed, rep, streams.POLICY))
+        fit = policy.fit
         ts, delta_norms, widths = [], [], []
 
         def observe(label: str, t: int, x: np.ndarray) -> None:
             if t > config.tau:
                 ts.append(t)
-                delta_norms.append(weighted_norm(policy.theta - env.theta_star, policy.design.V))
-                widths.append(weighted_norm(x, policy.design.inverse()))
+                delta_norms.append(weighted_norm(fit.theta - env.theta_star, fit.design.V))
+                widths.append(weighted_norm(x, fit.design.inverse()))
 
         # Only round T enters the trace; the observer keeps what the checks need.
         simulate(env, {"ucb-glm": policy}, T, record_every=T, observe=observe)
@@ -475,14 +485,11 @@ def znorm_bound_check(
     hits = 0
     hit_flags = []
     bound = 4.0 * sig * math.sqrt(d + math.log(1.0 / delta))
-    for rep in range(replications):
-        # sample_log draws no arm set, so one arm stands in for K.
-        env = Environment.build(
-            d=d, K=1, link=link, noise=noise, sigma=sig, context_dist=context_dist,
-            theta_norm=theta_norm, master_seed=master_seed, replication=rep,
-            theta_star=theta_star,
-        )
-        xs, _, eps = env.sample_log(n)
+    logs = _replication_logs(
+        n, replications, master_seed, d=d, link=link, noise=noise, sigma=sig,
+        context_dist=context_dist, theta_norm=theta_norm, theta_star=theta_star,
+    )
+    for _, xs, _, eps in logs:
         v = xs.T @ xs
         z = xs.T @ eps
         norm = weighted_norm(z, np.linalg.inv(v))

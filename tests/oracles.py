@@ -9,15 +9,22 @@ keeps the helpers that only tests use (score vectors, per-index stage
 scores, regret of one round, scalar reward draws, the SupCB-GLM round
 recorder and partition check, the inverse consistency error, the trace
 file reader), the instrumented UCB-GLM runner's own loop, the validation
-checks' own sampler and the harness's per-round simulation loop as
-references.
+checks' own sampler, the harness's per-round simulation loop and the GLM
+learners as first written, each with its own refit, as references.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from glmbandit.design import DesignState, min_eigenvalue
+from glmbandit.errors import InvalidConfigError, SingularDesignError
+from glmbandit.links import LinkFunction
+from glmbandit.mle import mle_fit
+from glmbandit.policies import BasePolicy, PolicyConfig, greedy_argmax, stage_decision, ucb_scores
 
 
 def _log_partition(kind: str, z: np.ndarray) -> np.ndarray:
@@ -135,7 +142,6 @@ def reference_mle_fit(link, xs, ys, warm_start=None, tolerance=1e-8, max_iterati
     reference for ``mle_fit``: every iteration evaluates the Fisher weights
     with a fresh ``mu_dot`` pass, every candidate's score with a fresh
     ``mu`` pass, and the eigenvalue floor with an eigendecomposition."""
-    from glmbandit.design import min_eigenvalue
     from glmbandit.errors import SingularFisherError
     from glmbandit.mle import FISHER_EIGENVALUE_FLOOR, FISHER_RIDGE, MleResult
 
@@ -191,8 +197,6 @@ def reference_mle_fit(link, xs, ys, warm_start=None, tolerance=1e-8, max_iterati
 def random_logistic_instance(link, gen: np.random.Generator, d_max=5, n_max=200):
     """One well-posed random logistic data set (resampled until the MLE is
     comfortably finite, so separation cannot make comparisons flaky)."""
-    from glmbandit.mle import mle_fit
-
     while True:
         d = int(gen.integers(1, d_max + 1))
         n = int(gen.integers(20 * d, n_max + 1))
@@ -231,8 +235,6 @@ def scalar_reward(env, x: np.ndarray) -> float:
 def consistency_error(state) -> float:
     """Max-entry deviation of V @ V_inv from the identity for a DesignState
     whose inverse has been materialized."""
-    from glmbandit.errors import SingularDesignError
-
     if state._v_inv is None:
         raise SingularDesignError("inverse has not been materialized")
     return float(np.abs(state.V @ state._v_inv - np.eye(state.d)).max())
@@ -241,7 +243,6 @@ def consistency_error(state) -> float:
 def parse_trace_csv(path: str):
     """Read a trace file written by ``harness.emit_trace_csv`` back into a
     RegretTrace (algorithm and replication are not in the file)."""
-    from glmbandit.errors import InvalidConfigError
     from glmbandit.harness import TRACE_HEADER, RegretTrace
 
     with open(path) as fh:
@@ -343,10 +344,7 @@ def cb_glm_scores(
     set selects 0-based positions.  The restricted design must be
     invertible.
     """
-    from glmbandit.design import MIN_EIGENVALUE_FLOOR, min_eigenvalue
-    from glmbandit.errors import InvalidConfigError, SingularDesignError
-    from glmbandit.mle import mle_fit
-    from glmbandit.policies import ucb_scores
+    from glmbandit.design import MIN_EIGENVALUE_FLOOR
 
     indices = np.asarray(sorted(index_set), dtype=int)
     if indices.size == 0:
@@ -390,9 +388,8 @@ def reference_run_ucb_glm_instrumented(
         Environment,
         second_moment_min_eig,
     )
-    from glmbandit.errors import InvalidConfigError
     from glmbandit.links import compute_kappa
-    from glmbandit.policies import PolicyConfig, UcbGlmPolicy, alpha_from_rule, tau_for_ucb
+    from glmbandit.policies import alpha_from_rule, tau_for_ucb
     from glmbandit.validation import UcbRunStats
 
     if noise == "bernoulli":
@@ -419,7 +416,7 @@ def reference_run_ucb_glm_instrumented(
             d=d, K=K, link=link, noise=noise, sigma=sig, context_dist=context_dist,
             theta_norm=theta_norm, master_seed=master_seed, replication=rep,
         )
-        policy = UcbGlmPolicy(
+        policy = ReferenceUcbGlmPolicy(
             config, link, streams.stream(master_seed, rep, streams.POLICY)
         )
         ts, delta_norms, widths = [], [], []
@@ -533,3 +530,199 @@ def reference_simulate(
         n_nonconverged=policy.n_nonconverged,
         lambda_min_init=policy.lambda_min_init,
     )
+
+
+# The GLM learners as first written, each owning its own refit, and
+# SupCB-GLM with its initialization-design fallback: the bit-identity
+# references for the policies module's learners, which share one refit.
+
+
+class ReferenceGlmFitPolicy(BasePolicy):
+    """Shared machinery: a design state plus a warm-started MLE."""
+
+    def __init__(self, config: PolicyConfig, link: LinkFunction, rng: np.random.Generator):
+        super().__init__(config, rng)
+        self.link = link
+        self.design = DesignState(config.d)
+        self.theta = np.zeros(config.d)
+        self._dirty = True
+
+    def refit(self) -> None:
+        if not self._dirty or self.design.n == 0:
+            return
+        result = mle_fit(
+            self.link,
+            self.design.features,
+            self.design.rewards,
+            warm_start=self.theta,
+        )
+        self.theta = result.theta
+        self.last_mle_converged = result.converged
+        if not result.converged:
+            self.n_nonconverged += 1
+        self._dirty = False
+
+    def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
+        self.design.update(x, y)
+        self._dirty = True
+
+
+class ReferenceUcbGlmPolicy(ReferenceGlmFitPolicy):
+    """Optimistic GLM policy.
+
+    The first tau rounds pick arms uniformly at random so the design
+    becomes invertible; afterwards each round refits the MLE on the full
+    log and plays the lowest-index maximizer of
+    ``x'theta_hat + alpha |x|_{V^{-1}}``.
+    """
+
+    name = "ucb-glm"
+
+    def select(self, t: int, contexts: np.ndarray) -> int:
+        cfg = self.config
+        if t <= cfg.tau:
+            self.last_mle_converged = True
+            return int(self.rng.integers(cfg.K))
+        if self.lambda_min_init is None:
+            self.lambda_min_init = min_eigenvalue(self.design.V)
+        v_inv = self.design.try_inverse()
+        if v_inv is None:
+            raise SingularDesignError(
+                f"design still singular at round {t}; initialization phase "
+                f"(tau={cfg.tau}) was insufficient"
+            )
+        self.refit()
+        means, widths = ucb_scores(contexts, self.theta, v_inv, cfg.alpha)
+        return greedy_argmax(means + widths)
+
+
+class ReferenceEpsilonGreedyPolicy(ReferenceGlmFitPolicy):
+    """Plays argmax x'theta_hat with probability 1 - epsilon, else uniform.
+
+    Falls back to uniform while the design is singular.  With epsilon = 0
+    this is the pure-greedy baseline, identical to UCB-GLM selection with
+    alpha = 0 once the design is invertible.
+    """
+
+    name = "epsilon-greedy"
+
+    def select(self, t: int, contexts: np.ndarray) -> int:
+        cfg = self.config
+        coin = float(self.rng.random())
+        v_inv = self.design.try_inverse()
+        if coin < cfg.epsilon or v_inv is None:
+            self.last_mle_converged = True
+            return int(self.rng.integers(cfg.K))
+        self.refit()
+        means, _ = ucb_scores(contexts, self.theta, v_inv, 0.0)
+        return greedy_argmax(means)
+
+
+class ReferenceSupCbGlmPolicy(BasePolicy):
+    """Staged-elimination GLM policy with independent per-stage samples.
+
+    Rounds are partitioned into the initialization set F = {1..tau} and
+    stage sets Psi_0..Psi_S (S = floor(log2 T)).  Stage s fits only on
+    Psi_s united with F, so within a stage the rewards used for fitting are
+    conditionally independent of each other.  Exploitation rounds land in
+    Psi_0 and never feed any fit.
+    """
+
+    name = "supcb-glm"
+
+    def __init__(self, config: PolicyConfig, link: LinkFunction, rng: np.random.Generator):
+        super().__init__(config, rng)
+        if config.T < 2:
+            raise InvalidConfigError("supcb-glm needs T >= 2")
+        self.link = link
+        self.S = int(math.floor(math.log2(config.T)))
+        self._init_design = DesignState(config.d)
+        self._init_theta: np.ndarray | None = None
+        self._stage_designs: list[DesignState | None] = [None] * (self.S + 1)
+        self._stage_thetas: list[np.ndarray | None] = [None] * (self.S + 1)
+        self._stage_dirty = [True] * (self.S + 1)
+        self._pending: int | None = None  # stage set receiving the round
+
+    def _init_fit(self) -> np.ndarray:
+        if self._init_theta is None:
+            result = mle_fit(self.link, self._init_design.features, self._init_design.rewards)
+            self._init_theta = result.theta
+            if not result.converged:
+                self.n_nonconverged += 1
+                self.last_mle_converged = False
+        return self._init_theta
+
+    def _stage_scores(self, s: int, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Means and widths at stage s, fitting on Psi_s united with F.
+
+        If that design is singular the stage falls back to the
+        initialization rounds alone; if even those are singular the run
+        cannot continue.
+        """
+        design = self._stage_designs[s]
+        v_inv = design.try_inverse()
+        if v_inv is not None:
+            if self._stage_dirty[s]:
+                result = mle_fit(
+                    self.link,
+                    design.features,
+                    design.rewards,
+                    warm_start=self._stage_thetas[s],
+                )
+                self._stage_thetas[s] = result.theta
+                self._stage_dirty[s] = False
+                if not result.converged:
+                    self.n_nonconverged += 1
+                    self.last_mle_converged = False
+            theta = self._stage_thetas[s]
+        else:
+            v_inv = self._init_design.try_inverse()
+            if v_inv is None:
+                raise SingularDesignError(
+                    f"stage {s} and initialization designs are both singular"
+                )
+            theta = self._init_fit()
+        return ucb_scores(contexts, theta, v_inv, self.config.alpha)
+
+    def select(self, t: int, contexts: np.ndarray) -> int:
+        cfg = self.config
+        if t <= cfg.tau:
+            self._pending = None
+            self.last_mle_converged = True
+            self.last_stage = None
+            return int(self.rng.integers(cfg.K))
+        if self.lambda_min_init is None:
+            # First round after initialization: every stage starts from F.
+            self.lambda_min_init = min_eigenvalue(self._init_design.V)
+            for s in range(1, self.S + 1):
+                self._stage_designs[s] = self._init_design.copy()
+        self.last_mle_converged = True
+
+        active = list(range(cfg.K))
+        s = 1
+        while True:
+            means, widths = self._stage_scores(s, contexts)
+            kind, payload = stage_decision(means, widths, active, s, cfg.T)
+            if kind == "explore":
+                arm = payload
+                self._pending = s
+                self.last_stage = s
+                return arm
+            if kind == "exploit" or s == self.S:
+                # At the last stage the exploit action is forced: 2^{-S} is
+                # within a factor 2 of the 1/sqrt(T) cutoff, so the widths
+                # are already as tight as stage geometry can make them.
+                arm = payload if kind == "exploit" else greedy_argmax(means, active)
+                self._pending = 0
+                self.last_stage = s
+                return arm
+            active = payload
+            s += 1
+
+    def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
+        if self._pending is None:
+            self._init_design.update(x, y)
+        elif self._pending >= 1:
+            self._stage_designs[self._pending].update(x, y)
+            self._stage_dirty[self._pending] = True
+        self._pending = None

@@ -143,6 +143,19 @@ def test_numerical_failure_exits_3(tmp_path, capsys):
     assert "singular" in capsys.readouterr().err.lower()
 
 
+def test_supcb_singular_start_exits_3(tmp_path, capsys):
+    # tau=1 < d=2: F is singular, so every stage design is too.
+    path = write_json(
+        tmp_path / "singular.json",
+        dict(
+            T=20, d=2, K=3, link="logistic", noise="bernoulli",
+            algorithms=["supcb-glm"], tau=1, replications=1, master_seed=0,
+        ),
+    )
+    assert cli_main(["run", "--config", path]) == 3
+    assert "singular" in capsys.readouterr().err.lower()
+
+
 def test_validate_theorem1_writes_report(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "val.json",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,8 +9,9 @@ from glmbandit import policies
 from glmbandit import rng as streams
 from glmbandit.design import weighted_norm
 from glmbandit.environment import Environment
-from glmbandit.errors import InvalidConfigError, SingularDesignError
-from glmbandit.links import IDENTITY, LOGISTIC
+from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
+from glmbandit.harness import simulate
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT
 from glmbandit.policies import (
     EpsilonGreedyPolicy,
     PolicyConfig,
@@ -26,7 +28,15 @@ from glmbandit.policies import (
     ucb_scores,
 )
 
-from oracles import SupCbRounds, cb_glm_scores, partition_ok, scalar_reward
+from oracles import (
+    ReferenceEpsilonGreedyPolicy,
+    ReferenceSupCbGlmPolicy,
+    ReferenceUcbGlmPolicy,
+    SupCbRounds,
+    cb_glm_scores,
+    partition_ok,
+    scalar_reward,
+)
 
 
 def config(**overrides):
@@ -173,11 +183,11 @@ def test_ucb_identity_link_reproduces_recursive_least_squares():
         y = scalar_reward(env, x)
         policy.update(t, arm, x, y)
         if t > 10:
-            policy.refit()
-            xs = policy.design.features
-            ys = policy.design.rewards
+            policy.fit.refit()
+            xs = policy.fit.design.features
+            ys = policy.fit.design.rewards
             batch = np.linalg.lstsq(xs, ys, rcond=None)[0]
-            assert np.abs(policy.theta - batch).max() <= 1e-7
+            assert np.abs(policy.fit.theta - batch).max() <= 1e-7
 
 
 def test_policy_update_zero_vector_is_inert():
@@ -188,12 +198,12 @@ def test_policy_update_zero_vector_is_inert():
         arm = policy.select(t, contexts)
         policy.update(t, arm, contexts[t - 1], 0.5)
     policy.select(3, contexts)
-    v_before = policy.design.V.copy()
-    widths_before = ucb_scores(contexts, policy.theta, policy.design.inverse(), 1.0)[1]
+    v_before = policy.fit.design.V.copy()
+    widths_before = ucb_scores(contexts, policy.fit.theta, policy.fit.design.inverse(), 1.0)[1]
     policy.update(3, 0, np.zeros(2), 0.1)
     policy.select(4, contexts)
-    widths_after = ucb_scores(contexts, policy.theta, policy.design.inverse(), 1.0)[1]
-    assert np.array_equal(policy.design.V, v_before)
+    widths_after = ucb_scores(contexts, policy.fit.theta, policy.fit.design.inverse(), 1.0)[1]
+    assert np.array_equal(policy.fit.design.V, v_before)
     assert np.allclose(widths_before, widths_after)
 
 
@@ -209,10 +219,10 @@ def test_width_of_played_context_never_increases():
         arm = policy.select(t, contexts)
         x = contexts[arm]
         if t > 8:
-            before = weighted_norm(x, policy.design.inverse())
+            before = weighted_norm(x, policy.fit.design.inverse())
         policy.update(t, arm, x, scalar_reward(env, x))
         if t > 8:
-            after = weighted_norm(x, policy.design.inverse())
+            after = weighted_norm(x, policy.fit.design.inverse())
             assert after <= before + 1e-12
 
 
@@ -484,7 +494,9 @@ def test_supcb_exploit_rounds_never_feed_fits():
     for s in range(1, policy.S + 1):
         fitted_rounds.update(rounds.stage_sets[s])
     assert set(rounds.stage_sets[0]).isdisjoint(fitted_rounds)
-    design_ns = [d.n for d in policy._stage_designs[1:] if d is not None]
+    # A stage with no fit yet was never scored, so its Psi_s is empty.
+    design_ns = [len(rounds.init_rounds) if fit is None else fit.design.n
+                 for fit in policy._fits[1:]]
     expected = [len(rounds.init_rounds) + len(rounds.stage_sets[s])
                 for s in range(1, policy.S + 1)]
     assert design_ns == expected
@@ -502,9 +514,7 @@ def test_supcb_forced_exploit_at_stage_cap():
         arm = policy.select(t, contexts)
         policy.update(t, arm, contexts[arm], 1.0)
     policy.S = 1  # lower the cap so stage 1 is terminal
-    policy._stage_designs = policy._stage_designs[:2]
-    policy._stage_thetas = policy._stage_thetas[:2]
-    policy._stage_dirty = policy._stage_dirty[:2]
+    policy._fits = policy._fits[:2]
     means = np.array([0.1, 0.9, 0.5])
     widths = np.full(3, 0.3)  # in (1/sqrt(T), 2^{-1}]: neither explore nor exploit
     policy._stage_scores = lambda s, ctx: (means, widths)
@@ -512,6 +522,21 @@ def test_supcb_forced_exploit_at_stage_cap():
     assert arm == 1  # forced exploit: argmax of the stage-S means
     assert policy._pending == 0
     assert policy.last_stage == 1
+
+
+@pytest.mark.parametrize("tau", [0, 2])
+def test_supcb_raises_on_singular_initial_design(tau):
+    # tau < d rounds cannot span R^3, so F is singular and so is every
+    # stage design; the first post-initialization round must raise.
+    cfg = PolicyConfig(T=100, d=3, K=3, alpha=1.0, tau=tau, kappa=0.1,
+                       sigma=0.5, delta=0.05)
+    policy = SupCbGlmPolicy(cfg, LOGISTIC, policy_rng())
+    contexts = np.eye(3)
+    for t in range(1, tau + 1):
+        arm = policy.select(t, contexts)
+        policy.update(t, arm, contexts[arm], 1.0)
+    with pytest.raises(SingularDesignError):
+        policy.select(tau + 1, contexts)
 
 
 def test_supcb_runs_deterministically():
@@ -539,3 +564,56 @@ def test_ucb_runs_deterministically():
         return actions
 
     assert run() == run()
+
+
+# The learners against their references ---------------------------------------
+
+WORLDS = [(LOGISTIC, "bernoulli", 0.5), (IDENTITY, "gaussian", 0.3), (PROBIT, "gaussian", 0.3)]
+
+LEARNERS = [
+    (UcbGlmPolicy, ReferenceUcbGlmPolicy),
+    (SupCbGlmPolicy, ReferenceSupCbGlmPolicy),
+    (EpsilonGreedyPolicy, ReferenceEpsilonGreedyPolicy),
+]
+
+
+def _play(cls, world, context_dist, cfg, seed):
+    """One learner's trace in one world, or the type of the error it raised."""
+    link, noise, sigma = world
+    env = Environment.build(
+        d=cfg.d, K=cfg.K, link=link, noise=noise, sigma=sigma, context_dist=context_dist,
+        theta_norm=1.0, master_seed=seed, replication=0,
+    )
+    policy = cls(cfg, link, streams.stream(seed, 0, streams.POLICY))
+    try:
+        return simulate(env, {cls.name: policy}, cfg.T, record_every=1)[cls.name]
+    except GlmBanditError as exc:
+        return type(exc)
+
+
+@given(
+    world=st.sampled_from(WORLDS),
+    context_dist=st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized"]),
+    d=st.integers(2, 3),
+    K=st.integers(2, 4),
+    tau_offset=st.sampled_from([-2, -1, 0, 3]),
+    T=st.integers(8, 48),
+    alpha=st.sampled_from([0.0, 0.5, 2.0]),
+    epsilon=st.sampled_from([0.0, 0.3]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_learners_match_their_references(
+    world, context_dist, d, K, tau_offset, T, alpha, epsilon, seed
+):
+    cfg = PolicyConfig(T=T, d=d, K=K, alpha=alpha, tau=max(0, d + tau_offset), kappa=0.2,
+                       sigma=0.5, delta=0.05, epsilon=epsilon)
+    for new_cls, ref_cls in LEARNERS:
+        ref = _play(ref_cls, world, context_dist, cfg, seed)
+        new = _play(new_cls, world, context_dist, cfg, seed)
+        if isinstance(ref, type):
+            assert new is ref
+            continue
+        assert not isinstance(new, type), f"{new_cls.name} raised {new.__name__}"
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name

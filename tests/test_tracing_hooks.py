@@ -43,6 +43,11 @@ def test_tracer_wraps_every_named_hook_and_restores_it():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["validation.mc_reps"] == 1.0
     assert metrics["policies.selects"] == 40.0
+    # The refit and the design updates stay visible to the tracer: tau=10
+    # leaves 30 fitted rounds, and all 40 rounds update the design.
+    assert metrics["policies.update_self_s"] > 0.0
+    assert metrics["mle.fits"] == 30.0
+    assert metrics["design.updates"] == 40.0
     assert metrics["harness.loop_self_s"] > 0.0
     # simulate still draws through sample_context_batch and scores through
     # Environment.arm_means, whatever chunks it works in.
