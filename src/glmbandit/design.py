@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from copy import deepcopy
 
 import numpy as np
 
@@ -36,26 +37,24 @@ def min_eigenvalue(a: np.ndarray) -> float:
 
 
 class DesignState:
-    """Gram matrix of absorbed observations with a maintained inverse.
+    """Gram matrix V = sum of x x' over the absorbed observations, their log
+    (x, y), and V's inverse.
 
-    The inverse is created lazily the first time it is requested (and V has
-    min eigenvalue above the floor); afterwards rank-one updates keep it in
-    sync via the Sherman-Morrison identity.  Every ``refactor_every``
-    inverse updates it is recomputed from V by direct factorization so
-    floating-point drift cannot accumulate over long runs.
+    The inverse is ``np.linalg.inv(V)`` of the current V, formed on request
+    at most once per design size n and cached against n. Until V has first
+    cleared the eigenvalue floor, a request checks the floor and raises
+    SingularDesignError below it. After that the check is skipped: updates
+    only add positive semidefinite terms, so eigenvalues never shrink.
     """
 
-    def __init__(self, d: int, refactor_every: int = 1000):
+    def __init__(self, d: int):
         if d < 1:
             raise ValueError("dimension must be positive")
-        if refactor_every < 1:
-            raise ValueError("refactor_every must be positive")
         self.d = d
         self.n = 0
-        self.refactor_every = refactor_every
         self.V = np.zeros((d, d))
         self._v_inv: np.ndarray | None = None
-        self._updates_since_refactor = 0
+        self._v_inv_n: int | None = None  # the n that _v_inv was formed at
         self._xs = np.empty((64, d))
         self._ys = np.empty(64)
 
@@ -77,36 +76,27 @@ class DesignState:
             self._xs, self._ys = xs, ys
 
     def update(self, x: np.ndarray, y: float) -> None:
-        """Absorb one observation: V += x x', log (x, y), sync the inverse."""
+        """Absorb one observation: V += x x' and log (x, y)."""
         x = np.asarray(x, dtype=float)
         self._grow()
         self._xs[self.n] = x
         self._ys[self.n] = y
         self.n += 1
         self.V += np.outer(x, x)
-        if self._v_inv is not None:
-            self._updates_since_refactor += 1
-            if self._updates_since_refactor >= self.refactor_every:
-                self._v_inv = np.linalg.inv(self.V)
-                self._updates_since_refactor = 0
-            else:
-                vx = self._v_inv @ x
-                self._v_inv -= np.outer(vx, vx) / (1.0 + float(x @ vx))
 
     def inverse(self) -> np.ndarray:
-        """Return V^{-1}, materializing it on first use.
+        """Return V^{-1} of the current V, inverting at most once per n.
 
-        Raises SingularDesignError if V has an eigenvalue below the floor.
-        Once created the inverse stays valid: rank-one updates only add
-        positive semidefinite terms, so eigenvalues never shrink.
+        Raises SingularDesignError if V has never cleared the eigenvalue
+        floor and does not clear it now.
         """
-        if self._v_inv is None:
-            if min_eigenvalue(self.V) < MIN_EIGENVALUE_FLOOR:
+        if self._v_inv_n != self.n:
+            if self._v_inv is None and min_eigenvalue(self.V) < MIN_EIGENVALUE_FLOOR:
                 raise SingularDesignError(
                     f"design matrix is singular after {self.n} observations"
                 )
             self._v_inv = np.linalg.inv(self.V)
-            self._updates_since_refactor = 0
+            self._v_inv_n = self.n
         return self._v_inv
 
     def try_inverse(self) -> np.ndarray | None:
@@ -117,11 +107,5 @@ class DesignState:
             return None
 
     def copy(self) -> DesignState:
-        other = DesignState(self.d, self.refactor_every)
-        other.n = self.n
-        other.V = self.V.copy()
-        other._v_inv = None if self._v_inv is None else self._v_inv.copy()
-        other._updates_since_refactor = self._updates_since_refactor
-        other._xs = self._xs.copy()
-        other._ys = self._ys.copy()
-        return other
+        """An independent copy: its own arrays, log, inverse and cache key."""
+        return deepcopy(self)

@@ -34,6 +34,7 @@ from .environment import (
 from .errors import InvalidConfigError
 from .links import compute_kappa, get_link
 from .policies import (
+    ALPHA_RULES,
     POLICY_KINDS,
     BasePolicy,
     PolicyConfig,
@@ -206,6 +207,14 @@ class ExperimentSpec:
             raise InvalidConfigError("tau must lie in [0, T]")
         if self.theta_star is not None and len(self.theta_star) != self.d:
             raise InvalidConfigError("theta_star must have length d")
+        if self.alpha_rule not in (None, *ALPHA_RULES):
+            raise InvalidConfigError(f"unknown alpha_rule {self.alpha_rule!r}")
+        if self.alpha is not None and self.alpha < 0:
+            raise InvalidConfigError("alpha must be nonnegative")
+        if not 0 < self.delta < 1:
+            raise InvalidConfigError("delta must lie in (0, 1)")
+        for name in self.algorithms:
+            resolve_policy_config(self, name)
 
     def to_dict(self) -> dict:
         out = asdict(self)
@@ -701,7 +710,7 @@ def sweep(spec: ExperimentSpec, param: str, values: list) -> ExperimentResult:
     sweep_type(param)
     if not values:
         raise InvalidConfigError("sweep needs at least one value")
-    traces: list[RegretTrace] = []
+    variants: list[tuple[ExperimentSpec, dict[str, str]]] = []
     variant_specs: dict[str, ExperimentSpec] = {}
     for value in values:
         raw = spec.to_dict()
@@ -712,10 +721,14 @@ def sweep(spec: ExperimentSpec, param: str, values: list) -> ExperimentResult:
         labels = {name: f"{name}[{param}={fmt(float(value))}]" for name in sub.algorithms}
         if any(label in variant_specs for label in labels.values()):
             raise InvalidConfigError(f"sweep value {value!r} repeats an earlier value")
+        variants.append((sub, labels))
+        variant_specs.update(dict.fromkeys(labels.values(), sub))
+    swept = ExperimentSpec.from_dict({**spec.to_dict(), "algorithms": list(variant_specs)})
+    # Every variant is checked above, so a bad later value runs nothing.
+    traces: list[RegretTrace] = []
+    for sub, labels in variants:
         for trace in run_experiment(sub).traces:
             trace.algorithm = labels[trace.algorithm]
             traces.append(trace)
-        variant_specs.update(dict.fromkeys(labels.values(), sub))
-    swept = ExperimentSpec.from_dict({**spec.to_dict(), "algorithms": list(variant_specs)})
     summary = aggregate(variant_specs, traces)
     return ExperimentResult(spec=swept, summary=summary, traces=traces)

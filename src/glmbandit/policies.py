@@ -75,7 +75,10 @@ def tau_for_ucb(d: int, delta: float, sigma0_sq: float, c: float = 16.0) -> int:
     """
     if sigma0_sq <= 0 or not 0 < delta < 1:
         raise InvalidConfigError("tau rule needs sigma0_sq > 0 and delta in (0,1)")
-    return max(d, math.ceil(c * (d + math.log(1.0 / delta)) / sigma0_sq))
+    tau = c * (d + math.log(1.0 / delta)) / sigma0_sq
+    if not math.isfinite(tau):
+        raise InvalidConfigError(f"tau rule overflows at sigma0_sq={sigma0_sq:.3g}")
+    return max(d, math.ceil(tau))
 
 
 def tau_for_supcb(d: int, T: int) -> int:
@@ -290,11 +293,9 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
         cfg = self.config
         self.last_mle_converged = True
         coin = float(self.rng.random())
-        v_inv = self.fit.design.try_inverse()
-        if coin < cfg.epsilon or v_inv is None:
+        if coin < cfg.epsilon or self.fit.design.try_inverse() is None:
             return int(self.rng.integers(cfg.K))
-        means, _ = ucb_scores(contexts, self._refit(self.fit), v_inv, 0.0)
-        return greedy_argmax(means)
+        return greedy_argmax(contexts @ self._refit(self.fit))
 
 
 def stage_decision(

@@ -233,11 +233,9 @@ def scalar_reward(env, x: np.ndarray) -> float:
 
 
 def consistency_error(state) -> float:
-    """Max-entry deviation of V @ V_inv from the identity for a DesignState
-    whose inverse has been materialized."""
-    if state._v_inv is None:
-        raise SingularDesignError("inverse has not been materialized")
-    return float(np.abs(state.V @ state._v_inv - np.eye(state.d)).max())
+    """Max-entry deviation of V @ inverse() from the identity for a
+    DesignState; raises SingularDesignError below the eigenvalue floor."""
+    return float(np.abs(state.V @ state.inverse() - np.eye(state.d)).max())
 
 
 def parse_trace_csv(path: str):

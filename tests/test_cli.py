@@ -67,6 +67,9 @@ def test_invalid_config_exits_1(tmp_path, capsys):
         {"master_seed": -1},
         {"noise": "poisson"},
         {"sigma": -0.1},
+        {"alpha_rule": "bogus", "alpha": -3.0, "algorithms": ["uniform", "oracle"]},
+        {"alpha": -3.0, "algorithms": ["uniform", "oracle"]},
+        {"delta": 2},
     ],
 )
 def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrides, capsys):
@@ -76,7 +79,7 @@ def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrid
     out = tmp_path / "results"
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 1
     assert next(iter(overrides)) in capsys.readouterr().err
-    assert not (out / "summary.csv").exists()
+    assert not out.exists()
 
 
 class _FullDisk:

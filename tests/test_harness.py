@@ -97,6 +97,25 @@ def test_bad_world_rejected_when_parsed(overrides):
 @pytest.mark.parametrize(
     "overrides",
     [
+        {"alpha_rule": "bogus", "algorithms": ["uniform"]},
+        {"alpha": -3.0, "algorithms": ["uniform"]},
+        {"delta": 2.0},
+        {"epsilon": 2.0},
+        {"tau": None, "K": 2, "context_dist": "fixed", "fixed_contexts": [[1e-160, 0], [0, 1]]},
+    ],
+    ids=[
+        "alpha-rule-unknown", "alpha-negative", "delta-above-1", "epsilon-above-1",
+        "tau-overflows",
+    ],
+)
+def test_bad_tuning_rejected_when_parsed(overrides):
+    with pytest.raises(InvalidConfigError, match=next(iter(overrides))):
+        base_spec(**overrides)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
         {"sigma": math.nan},
         {"sigma": math.inf},
         {"sigma": "0.1"},
@@ -183,8 +202,19 @@ _EXPERIMENT_SPECS = st.builds(
 )
 
 
+def _tuning_resolves(spec) -> bool:
+    """Whether every algorithm's tuning resolves: an explicit alpha rule
+    needs an alpha, and a derived tau must fit in the horizon."""
+    try:
+        for name in spec.algorithms:
+            resolve_policy_config(spec, name)
+    except InvalidConfigError:
+        return False
+    return True
+
+
 @settings(max_examples=60, deadline=None)
-@given(_EXPERIMENT_SPECS)
+@given(_EXPERIMENT_SPECS.filter(_tuning_resolves))
 def test_spec_round_trip(spec):
     spec.validate()
     raw = json.loads(json.dumps(spec.to_dict()))
@@ -232,7 +262,10 @@ def test_resolve_policy_config_theorem4_tau():
 
 
 def test_derived_tau_exceeding_horizon_is_an_error():
-    spec = base_spec(tau=None, T=50)
+    # Parsing resolves every algorithm's tuning, so the spec never builds.
+    with pytest.raises(InvalidConfigError, match="tau"):
+        base_spec(tau=None, T=50)
+    spec = dataclasses.replace(base_spec(), tau=None, T=50)
     with pytest.raises(InvalidConfigError, match="tau"):
         resolve_policy_config(spec, "ucb-glm")
 
@@ -472,6 +505,19 @@ def test_sweep_rejects_repeated_values():
     spec = base_spec(algorithms=["uniform"], replications=1)
     with pytest.raises(InvalidConfigError, match="repeats"):
         sweep(spec, "epsilon", [0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "param, values, match",
+    [("delta", [0.05, 2.0], "delta"), ("alpha", [1.0, 2.0, 1.0], "repeats")],
+)
+def test_sweep_checks_every_value_before_running_any(monkeypatch, param, values, match):
+    spec = base_spec(algorithms=["ucb-glm"], replications=1)
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    with pytest.raises(InvalidConfigError, match=match):
+        sweep(spec, param, values)
+    assert runs == []
 
 
 def test_sweep_writes_the_flags_run_writes(tmp_path):
