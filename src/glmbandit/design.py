@@ -42,9 +42,10 @@ class DesignState:
 
     The inverse is ``np.linalg.inv(V)`` of the current V, formed on request
     at most once per design size n and cached against n. Until V has first
-    cleared the eigenvalue floor, a request checks the floor and raises
-    SingularDesignError below it. After that the check is skipped: updates
-    only add positive semidefinite terms, so eigenvalues never shrink.
+    cleared the eigenvalue floor, a request (or ``clears_floor``) checks the
+    floor and an inverse request raises SingularDesignError below it. After
+    that the check is skipped: updates only add positive semidefinite
+    terms, so eigenvalues never shrink.
     """
 
     def __init__(self, d: int):
@@ -53,6 +54,7 @@ class DesignState:
         self.d = d
         self.n = 0
         self.V = np.zeros((d, d))
+        self._cleared = False  # V has cleared the eigenvalue floor
         self._v_inv: np.ndarray | None = None
         self._v_inv_n: int | None = None  # the n that _v_inv was formed at
         self._xs = np.empty((64, d))
@@ -84,6 +86,13 @@ class DesignState:
         self.n += 1
         self.V += np.outer(x, x)
 
+    def clears_floor(self) -> bool:
+        """True once lambda_min(V) has reached the eigenvalue floor; checks
+        the current V until it first does, and never inverts."""
+        if not self._cleared:
+            self._cleared = min_eigenvalue(self.V) >= MIN_EIGENVALUE_FLOOR
+        return self._cleared
+
     def inverse(self) -> np.ndarray:
         """Return V^{-1} of the current V, inverting at most once per n.
 
@@ -91,7 +100,7 @@ class DesignState:
         floor and does not clear it now.
         """
         if self._v_inv_n != self.n:
-            if self._v_inv is None and min_eigenvalue(self.V) < MIN_EIGENVALUE_FLOOR:
+            if not self.clears_floor():
                 raise SingularDesignError(
                     f"design matrix is singular after {self.n} observations"
                 )

@@ -35,6 +35,7 @@ from .errors import InvalidConfigError
 from .links import compute_kappa, get_link
 from .policies import (
     ALPHA_RULES,
+    NON_LEARNING_KINDS,
     POLICY_KINDS,
     BasePolicy,
     PolicyConfig,
@@ -560,13 +561,21 @@ def aggregate(specs: dict[str, ExperimentSpec], traces: list[RegretTrace]) -> Ag
 
 
 def algorithm_groups(algorithms: tuple[str, ...], groups: int) -> list[tuple[str, ...]]:
-    """Deal ``algorithms`` round-robin into ``groups`` groups.
+    """Deal the learners among ``algorithms`` round-robin into at most
+    ``groups`` groups, balanced by cost: the policies that do not learn
+    cost almost nothing, so they ride in group 0 and do not count toward
+    the split.
 
     Dealing rather than cutting contiguous runs spreads neighbours apart:
     a config tends to list its costly learners together, and a contiguous
     cut would put them all in one unit.
     """
-    return [algorithms[g::groups] for g in range(groups)]
+    cheap = tuple(a for a in algorithms if base_algorithm(a) in NON_LEARNING_KINDS)
+    learners = tuple(a for a in algorithms if a not in cheap)
+    groups = max(1, min(groups, len(learners)))
+    dealt = [learners[g::groups] for g in range(groups)]
+    dealt[0] += cheap
+    return dealt
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
@@ -580,14 +589,13 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """
     spec.validate()
     workers = worker_count(spec)
-    n_groups = min(len(spec.algorithms), -(-workers // spec.replications))
-    groups = algorithm_groups(spec.algorithms, n_groups)
+    groups = algorithm_groups(spec.algorithms, -(-workers // spec.replications))
     reps = [rep for rep in range(spec.replications) for _ in groups]
     units = ([spec] * len(reps), reps, groups * spec.replications)
     if workers <= 1 or len(reps) <= 1:
         results = list(map(run_replication, *units))
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(reps))) as pool:
             results = list(pool.map(run_replication, *units))
     traces = [tr for result in results for tr in result.values()]
     # Deterministic order regardless of how the pool scheduled the units.

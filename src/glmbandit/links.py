@@ -23,8 +23,20 @@ _SQRT_2PI = math.sqrt(2.0 * math.pi)
 def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Overflow-free form: exp is only ever applied to nonpositive arguments.
     z = np.asarray(z, dtype=float)
-    ez = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    if z.ndim == 0:
+        ez = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+    # The same formula with its temporaries reused. The numerator
+    # where(z >= 0, 1, ez) is taken as max(ez, z >= 0): ez lies in [0, 1], so
+    # both pick the same value (a NaN ez included), and max is a vector loop
+    # where ``where`` is not. The 0-d path above stays, so a scalar stays one.
+    ez = np.abs(z)
+    np.negative(ez, out=ez)
+    np.exp(ez, out=ez)
+    out = np.maximum(ez, z >= 0)
+    ez += 1.0
+    out /= ez
+    return out
 
 
 def _normal_pdf(z: np.ndarray) -> np.ndarray:

@@ -10,15 +10,18 @@ is concave for the built-in links, so Newton with step halving is the
 standard solver; bandit callers warm-start from the previous round's
 estimate, which keeps per-round cost to one or two iterations.
 
-Each Newton iteration costs one link pass per candidate tried (``x'theta``
-and ``mu`` once; the accepted candidate's values give the next Fisher
-weights), a floor check on the Fisher matrix that a Gershgorin bound
-settles without an eigendecomposition unless the matrix is near singular,
-and one ``solve``.
+Each Newton iteration costs a floor check on the Fisher matrix that a
+Gershgorin bound settles without an eigendecomposition unless the matrix is
+near singular, one ``solve``, and one link pass (``x'theta`` and ``mu``
+once; the accepted candidate's values give the next Fisher weights) for the
+full step. Only when the full step is rejected do the halvings follow, a
+batch of candidates per link pass: on a small log all of them in one pass,
+on a large one a single candidate per pass.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +33,12 @@ from .links import LinkFunction
 FISHER_EIGENVALUE_FLOOR = 1e-10
 FISHER_RIDGE = 1e-8
 
+# Candidate x row elements per batched pass of the step halving, which
+# bounds the batch's temporaries: a large log gets one candidate per pass.
+HALVING_BATCH_ELEMENTS = 32_768
+
 _MAX_HALVINGS = 40
+_HALVINGS = 0.5 ** np.arange(_MAX_HALVINGS)  # exact powers of two
 _EPS = float(np.finfo(float).eps)
 _ROUNDING_SLACK = 8.0
 
@@ -48,6 +56,55 @@ def _link_pass(link: LinkFunction, xs: np.ndarray, ys: np.ndarray, theta: np.nda
     z = xs @ theta
     mu = link.mu(z)
     return z, mu, xs.T @ (ys - mu)
+
+
+def _sup_norm(score: np.ndarray) -> float:
+    """``float(np.abs(score).max())`` without the reduction's call overhead.
+
+    Python's max skips a NaN that is not first, so a NaN sum (a NaN entry,
+    or +inf next to -inf) is settled by a check for NaN entries.
+    """
+    values = score.tolist()
+    norm = max(map(abs, values))
+    if math.isnan(sum(values)) and any(map(math.isnan, values)):
+        return math.nan
+    return norm
+
+
+def _line_search(
+    link: LinkFunction,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    theta: np.ndarray,
+    step: np.ndarray,
+    snorm: float,
+):
+    """Step halving: the first of theta + 0.5**k step, k = 0, 1, ..., whose
+    score norm falls below ``snorm``, else the best one tried.
+
+    Returns the accepted candidate's (theta, z, mu, score) and score norm.
+    The full step is tried alone; the halvings are evaluated a batch at a
+    time with stacked matmuls, whose slices are the same gemv calls as a
+    single candidate's pass, and the rule is replayed over the batch's norms.
+    """
+    cand = theta + step
+    z, mu, score = _link_pass(link, xs, ys, cand)
+    norm = _sup_norm(score)
+    if norm < snorm:
+        return (cand, z, mu, score), norm
+    best, best_norm = ((cand, z, mu, score), norm) if norm < np.inf else (None, np.inf)
+    per_batch = max(1, HALVING_BATCH_ELEMENTS // len(xs))
+    for first in range(1, _MAX_HALVINGS, per_batch):
+        cands = theta + _HALVINGS[first : first + per_batch, None] * step
+        zs = np.matmul(xs, cands[:, :, None])[:, :, 0]
+        mus = link.mu(zs)
+        scores = np.matmul(xs.T, (ys - mus)[:, :, None])[:, :, 0]
+        for j, norm in enumerate(np.abs(scores).max(axis=1).tolist()):
+            if norm < best_norm:
+                best, best_norm = (cands[j], zs[j], mus[j], scores[j]), norm
+            if norm < snorm:
+                return best, best_norm
+    return best, best_norm
 
 
 def _clears_floor(fisher: np.ndarray) -> bool:
@@ -94,13 +151,17 @@ def mle_fit(
         raise ValueError(f"warm start must have length {d}")
 
     z, mu, score = _link_pass(link, xs, ys, theta)
-    snorm = float(np.abs(score).max())
+    snorm = _sup_norm(score)
     iterations = 0
     while iterations < max_iterations and snorm > tolerance:
         iterations += 1
         # The Fisher weights reuse the accepted iterate's pass: for the
-        # logistic link mu' = mu (1 - mu) exactly as _logistic_dot computes it.
-        weights = mu * (1.0 - mu) if link.kind == "logistic" else link.mu_dot(z)
+        # logistic link mu' = (1 - mu) mu, the product _logistic_dot takes.
+        if link.kind == "logistic":
+            weights = 1.0 - mu
+            weights *= mu
+        else:
+            weights = link.mu_dot(z)
         fisher = (xs * weights[:, None]).T @ xs
         if not _clears_floor(fisher) and min_eigenvalue(fisher) < FISHER_EIGENVALUE_FLOOR:
             fisher = fisher + FISHER_RIDGE * np.eye(d)
@@ -110,20 +171,7 @@ def mle_fit(
                 )
         step = np.linalg.solve(fisher, score)
 
-        # Step halving until the score norm decreases; keep the best
-        # candidate seen so a stalled search still makes the least-bad move.
-        best, best_norm = None, np.inf
-        scale = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = theta + scale * step
-            cand_z, cand_mu, cand_score = _link_pass(link, xs, ys, cand)
-            cand_norm = float(np.abs(cand_score).max())
-            if cand_norm < best_norm:
-                best, best_norm = (cand, cand_z, cand_mu, cand_score), cand_norm
-            if cand_norm < snorm:
-                break
-            scale *= 0.5
-        (theta, z, mu, score), snorm = best, best_norm
+        (theta, z, mu, score), snorm = _line_search(link, xs, ys, theta, step, snorm)
 
     return MleResult(
         theta=theta,

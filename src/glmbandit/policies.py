@@ -27,6 +27,10 @@ POLICY_KINDS = (
     "oracle",
 )
 
+# Policies that do not learn: they select a whole chunk of rounds at once
+# and cost next to nothing beside a learner's per-round refit.
+NON_LEARNING_KINDS = ("uniform", "oracle")
+
 
 def alpha_from_rule(
     rule: str,
@@ -293,7 +297,7 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
         cfg = self.config
         self.last_mle_converged = True
         coin = float(self.rng.random())
-        if coin < cfg.epsilon or self.fit.design.try_inverse() is None:
+        if coin < cfg.epsilon or not self.fit.design.clears_floor():
             return int(self.rng.integers(cfg.K))
         return greedy_argmax(contexts @ self._refit(self.fit))
 

@@ -2,8 +2,8 @@
 
 These deliberately avoid the code paths they verify: the MLE oracle is
 first-order only (no Newton, no Fisher solves), the reference Newton loop
-keeps the plain per-step evaluations that the library's loop reuses or
-skips, and the eigenvalue oracle brackets a root of the characteristic
+keeps the plain per-step evaluations that the library's loop reuses,
+batches or skips, the reference sigmoid keeps a fresh temporary per step, and the eigenvalue oracle brackets a root of the characteristic
 polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, per-index stage
 scores, regret of one round, scalar reward draws, the SupCB-GLM round
@@ -135,6 +135,14 @@ def bisect_min_eigenvalue(a: np.ndarray, tol: float = 1e-9) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def reference_sigmoid(z: np.ndarray) -> np.ndarray:
+    """The logistic mean as first written, one fresh temporary per step,
+    kept as the bit-identity reference for ``links._sigmoid``."""
+    z = np.asarray(z, dtype=float)
+    ez = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
 
 
 def reference_mle_fit(link, xs, ys, warm_start=None, tolerance=1e-8, max_iterations=100):

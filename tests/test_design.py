@@ -125,6 +125,21 @@ def test_singular_design_raises_and_try_inverse_returns_none():
         state.inverse()
 
 
+def test_clears_floor_checks_until_cleared_and_never_inverts():
+    state = DesignState(2)
+    assert not state.clears_floor()
+    state.update(np.array([1.0, 0.0]), 0.0)
+    assert not state.clears_floor()
+    state.update(np.array([0.0, 1.0]), 0.0)
+    assert state.clears_floor()
+    # Once cleared the answer is remembered: V only grows by PSD terms.
+    state.V[:] = 0.0
+    assert state.clears_floor()
+    copy = state.copy()
+    assert copy.clears_floor()
+    assert not DesignState(2).copy().clears_floor()
+
+
 def test_injected_drift_is_gone_after_the_next_update():
     gen = np.random.default_rng(6)
     state = DesignState(4)

@@ -355,6 +355,29 @@ def test_algorithm_groups_split_one_replication_across_workers(tmp_path, monkeyp
     assert outputs["1"] == outputs["2"]
 
 
+def test_algorithm_groups_split_only_the_learners(tmp_path, monkeypatch):
+    # Uniform and oracle cost next to nothing: they ride in group 0 and do
+    # not count toward the split, wherever the spec lists them.
+    spec = base_spec(
+        algorithms=["uniform", "ucb-glm", "oracle", "epsilon-greedy"], replications=1
+    )
+    assert harness.algorithm_groups(spec.algorithms, 2) == [
+        ("ucb-glm", "uniform", "oracle"), ("epsilon-greedy",)
+    ]
+    assert harness.algorithm_groups(spec.algorithms, 8) == [
+        ("ucb-glm", "uniform", "oracle"), ("epsilon-greedy",)
+    ]
+    assert harness.algorithm_groups(("uniform", "oracle"), 2) == [("uniform", "oracle")]
+    outputs = {}
+    for workers in ("1", "2"):
+        monkeypatch.setenv("GLM_BANDIT_THREADS", workers)
+        out = tmp_path / workers
+        emit_csv(run_experiment(spec), str(out))
+        outputs[workers] = {name: (out / name).read_bytes() for name in sorted(os.listdir(out))}
+    assert len(outputs["1"]) == 6
+    assert outputs["1"] == outputs["2"]
+
+
 def test_trace_round_trip(tmp_path):
     trace = RegretTrace(
         algorithm="ucb-glm",

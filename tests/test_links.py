@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from glmbandit.errors import InvalidConfigError
 from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, compute_kappa, get_link
 
-from oracles import link_eval
+from oracles import link_eval, reference_sigmoid
 
 ALL_LINKS = [IDENTITY, LOGISTIC, PROBIT]
 GRID = np.linspace(-10.0, 10.0, 2001)
@@ -98,3 +100,43 @@ def test_get_link():
     assert get_link("probit") is PROBIT
     with pytest.raises(InvalidConfigError):
         get_link("cauchit")
+
+
+def same_bits(a, b) -> bool:
+    """Same type, shape and bytes: NaN payloads and the sign of zero count."""
+    return type(a) is type(b) and np.shape(a) == np.shape(b) and (
+        np.asarray(a).tobytes() == np.asarray(b).tobytes()
+    )
+
+
+# Two NaNs with payloads, one of them signalling, beside the plain ones.
+PAYLOAD_NANS = np.array([0x7FF0000000000001, 0xFFF8DEAD00000000], dtype=np.uint64).view(float)
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, *PAYLOAD_NANS, 745.0, -745.0,
+                 746.0, -746.0, 36.0, -36.0, 5e-324, -5e-324]
+
+
+@pytest.mark.parametrize("z", SIGMOID_EDGES)
+def test_sigmoid_matches_reference_at_edges(z):
+    assert same_bits(LOGISTIC.mu(z), reference_sigmoid(z))
+    assert same_bits(LOGISTIC.mu(np.float64(z)), reference_sigmoid(np.float64(z)))
+    edges = np.array(SIGMOID_EDGES)
+    assert same_bits(LOGISTIC.mu(edges), reference_sigmoid(edges))
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    z=hnp.arrays(
+        np.float64,
+        hnp.array_shapes(min_dims=0, max_dims=2, max_side=40),
+        elements=st.floats(allow_nan=True, allow_infinity=True, width=64)
+        | st.sampled_from(SIGMOID_EDGES),
+    ),
+    stride=st.integers(1, 3),
+)
+def test_sigmoid_matches_reference_on_arrays(z, stride):
+    # 0-d, 1-D and 2-D inputs, and strided views of them.
+    assert same_bits(LOGISTIC.mu(z), reference_sigmoid(z))
+    if z.ndim:
+        view = z[..., ::stride]
+        assert same_bits(LOGISTIC.mu(view), reference_sigmoid(view))
+    assert same_bits(LOGISTIC.mu(z.tolist()), reference_sigmoid(z.tolist()))

@@ -100,19 +100,19 @@ def test_warm_start_converges_in_fewer_iterations():
 
 
 def counting(link):
-    """The same link with its mu and mu_dot calls counted."""
-    calls = {"mu": 0, "mu_dot": 0}
+    """The same link with the names of its mu and mu_dot calls logged in order."""
+    log = []
 
-    def counted(name):
+    def logged(name):
         fn = getattr(link, name)
 
         def wrapper(z):
-            calls[name] += 1
+            log.append(name)
             return fn(z)
 
         return wrapper
 
-    return dataclasses.replace(link, mu=counted("mu"), mu_dot=counted("mu_dot")), calls
+    return dataclasses.replace(link, mu=logged("mu"), mu_dot=logged("mu_dot")), log
 
 
 def fit_outcome(fit, *args, **kwargs):
@@ -161,6 +161,53 @@ def test_bit_identical_to_reference_loop(kind, seed, d, n, start):
     assert_matches_reference(link, xs, ys, warm_start=warm)
 
 
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["logistic", "probit"]),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 12),
+    flips=st.integers(0, 2),
+    start=st.sampled_from(["cold", "far"]),
+    per_batch=st.sampled_from([1, 2, 3, 5, 8, 40]),
+)
+def test_bit_identical_to_reference_loop_on_near_separable_logs(
+    kind, seed, d, extra, flips, start, per_batch
+):
+    # Small logs labelled by a hyperplane, with at most a couple of labels
+    # flipped: separable or nearly so, where Newton halves its steps many
+    # times. A small element budget splits the halvings into batches.
+    link = LINKS[kind]
+    gen = np.random.default_rng(seed)
+    n = d + extra
+    xs = gen.uniform(-1.0, 1.0, size=(n, d))
+    ys = (xs @ gen.standard_normal(d) > 0).astype(float)
+    flipped = gen.choice(n, size=min(flips, n), replace=False)
+    ys[flipped] = 1.0 - ys[flipped]
+    warm = None if start == "cold" else gen.uniform(-8.0, 8.0, size=d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mle, "HALVING_BATCH_ELEMENTS", per_batch * n)
+        assert_matches_reference(link, xs, ys, warm_start=warm)
+
+
+def test_rejected_halvings_keep_the_best_candidate(monkeypatch):
+    # Against the Newton direction every scale raises the score norm, so all
+    # 40 candidates are rejected and the smallest step, 0.5**39, is the best:
+    # every batch split must reach the last candidate and keep it.
+    xs, ys, link = HALVING_XS, HALVING_YS, LOGISTIC
+    theta = np.zeros(2)
+    score = score_vector(link, xs, ys, theta)
+    fisher = (xs * link.mu_dot(xs @ theta)[:, None]).T @ xs
+    step = -np.linalg.solve(fisher, score)
+    snorm = float(np.abs(score).max())
+    expected = theta + 0.5**39 * step
+    for per_batch in (1, 3, 39, 40):
+        monkeypatch.setattr(mle, "HALVING_BATCH_ELEMENTS", per_batch * len(xs))
+        (cand, _, _, _), norm = mle._line_search(link, xs, ys, theta, step, snorm)
+        assert np.array_equal(cand, expected)
+        assert norm == float(np.abs(score_vector(link, xs, ys, expected)).max()) > snorm
+
+
 @pytest.mark.parametrize(
     "link, xs, ys, kwargs",
     [
@@ -178,27 +225,47 @@ def test_bit_identical_to_reference_loop_on_edge_cases(link, xs, ys, kwargs):
     assert_matches_reference(link, xs, ys, **kwargs)
 
 
-def test_one_link_pass_per_candidate():
+def candidates_per_iteration(log):
+    """From the reference loop's call log (one mu_dot per iteration, then
+    one mu per candidate): the number of candidates each iteration tried."""
+    tried = []
+    for name in log:
+        if name == "mu_dot":
+            tried.append(0)
+        elif tried:
+            tried[-1] += 1
+    return tried
+
+
+def test_one_link_pass_per_candidate(monkeypatch):
     gen = np.random.default_rng(13)
     xs = gen.standard_normal((200, 4)) / 2.0
     ys = (gen.random(200) < LOGISTIC.mu(xs @ np.array([0.4, -0.3, 0.2, 0.1]))).astype(float)
     warm = mle_fit(LOGISTIC, xs[:-1], ys[:-1]).theta
 
     # A warm fit accepts every full Newton step: one candidate per iteration.
-    link, calls = counting(LOGISTIC)
+    link, log = counting(LOGISTIC)
     fit = mle_fit(link, xs, ys, warm_start=warm)
     assert fit.iterations >= 1
-    assert calls == {"mu": 1 + fit.iterations, "mu_dot": 0}
+    assert log == ["mu"] * (1 + fit.iterations)
 
     # With step halving, the reference loop makes one mu pass per candidate
-    # plus the initial score, and one mu_dot pass per iteration.
-    ref_link, ref_calls = counting(LOGISTIC)
+    # plus the initial score, and one mu_dot pass per iteration. mle_fit
+    # tries the full step alone and then the halvings a batch at a time:
+    # one mu pass per batch.
+    ref_link, ref_log = counting(LOGISTIC)
     ref = reference_mle_fit(ref_link, HALVING_XS, HALVING_YS, warm_start=HALVING_START)
-    assert ref_calls["mu"] > 1 + ref.iterations
-    assert ref_calls["mu_dot"] == ref.iterations
-    link, calls = counting(LOGISTIC)
-    mle_fit(link, HALVING_XS, HALVING_YS, warm_start=HALVING_START)
-    assert calls == {"mu": ref_calls["mu"], "mu_dot": 0}
+    tried = candidates_per_iteration(ref_log)
+    assert len(tried) == ref.iterations and max(tried) > 2
+    n = len(HALVING_XS)
+    for per_batch in (1, 2, 3, 40):
+        monkeypatch.setattr(mle, "HALVING_BATCH_ELEMENTS", per_batch * n)
+        link, log = counting(LOGISTIC)
+        fit = mle_fit(link, HALVING_XS, HALVING_YS, warm_start=HALVING_START)
+        batches = sum(1 + -(-(k - 1) // per_batch) for k in tried)
+        assert log == ["mu"] * (1 + batches)
+        assert np.array_equal(fit.theta, ref.theta)
+    assert batches == ref.iterations + sum(k > 1 for k in tried)
 
 
 def test_eigensolver_runs_only_near_singular(monkeypatch):

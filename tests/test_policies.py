@@ -269,6 +269,36 @@ def test_greedy_falls_back_to_uniform_while_singular():
     assert seen == {0, 1, 2}  # uniform fallback explores every arm
 
 
+def test_epsilon_greedy_never_inverts_the_design(monkeypatch):
+    # The exploit rounds only ask whether V has cleared the eigenvalue
+    # floor; epsilon-greedy reads nothing of V's inverse.
+    from glmbandit.design import DesignState
+
+    inversions = []
+    inverse = DesignState.inverse
+
+    def counted(self):
+        inversions.append(self.n)
+        return inverse(self)
+
+    monkeypatch.setattr(DesignState, "inverse", counted)
+    gen = np.random.default_rng(31)
+    cfg = config(T=200, d=3, K=4, tau=0, epsilon=0.2)
+    policy = EpsilonGreedyPolicy(cfg, LOGISTIC, policy_rng())
+    theta = np.array([0.5, -0.4, 0.3])
+    refits = 0
+    for t in range(1, 201):
+        contexts = gen.standard_normal((4, 3)) / 2.0
+        dirty = policy.fit.dirty
+        arm = policy.select(t, contexts)
+        refits += dirty and not policy.fit.dirty
+        y = float(gen.random() < LOGISTIC.mu(contexts[arm] @ theta))
+        policy.update(t, arm, contexts[arm], y)
+    assert refits > 100
+    assert policy.fit.design.clears_floor()
+    assert inversions == []
+
+
 def test_make_policy_dispatch():
     cfg = config()
     assert make_policy("uniform", cfg, IDENTITY, policy_rng()).name == "uniform"
