@@ -118,8 +118,6 @@ def _parse_sweep_values(param: str, text: str) -> list:
             values.append(kind(item))
         except ValueError:
             raise InvalidConfigError(f"cannot parse sweep value {item!r}") from None
-    if not values:
-        raise InvalidConfigError("sweep needs at least one value")
     return values
 
 

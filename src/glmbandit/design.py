@@ -84,7 +84,7 @@ class DesignState:
         self._xs[self.n] = x
         self._ys[self.n] = y
         self.n += 1
-        self.V += np.outer(x, x)
+        self.V += x[:, None] * x
 
     def clears_floor(self) -> bool:
         """True once lambda_min(V) has reached the eigenvalue floor; checks
@@ -102,18 +102,12 @@ class DesignState:
         if self._v_inv_n != self.n:
             if not self.clears_floor():
                 raise SingularDesignError(
-                    f"design matrix is singular after {self.n} observations"
+                    f"design matrix is singular after {self.n} observations; "
+                    f"more initialization rounds (tau) would make it invertible"
                 )
             self._v_inv = np.linalg.inv(self.V)
             self._v_inv_n = self.n
         return self._v_inv
-
-    def try_inverse(self) -> np.ndarray | None:
-        """Like inverse(), but returns None instead of raising."""
-        try:
-            return self.inverse()
-        except SingularDesignError:
-            return None
 
     def copy(self) -> DesignState:
         """An independent copy: its own arrays, log, inverse and cache key."""

@@ -19,7 +19,8 @@ from scipy.stats import chi2
 
 from . import rng as streams
 from .errors import InvalidConfigError
-from .links import LinkFunction
+from .links import LinkFunction, get_link
+from .policies import check_config
 
 CONTEXT_DISTRIBUTIONS = ("uniform_ball", "sphere", "gaussian_normalized", "fixed")
 NOISE_KINDS = ("bernoulli", "gaussian")
@@ -27,19 +28,41 @@ NOISE_KINDS = ("bernoulli", "gaussian")
 BERNOULLI_SUB_GAUSSIAN_SIGMA = 0.5
 
 
-def check_world(link_kind: str, noise: str, sigma: float | None, context_dist: str) -> None:
-    """Reject a world the generative model cannot play; each message names
-    the offending config key."""
+def check_world(
+    link_kind: str, noise: str, sigma: float | None, context_dist: str, d: int, K: int,
+    fixed_contexts=None, theta_star=None,
+) -> None:
+    """Reject a world the generative model cannot play, for the specs and
+    ``Environment`` alike; each message names the offending config key."""
+    check_config(d=d, K=K, sigma=sigma)
+    get_link(link_kind)
     if noise not in NOISE_KINDS:
         raise InvalidConfigError(f"noise: unknown noise kind {noise!r}")
     if noise == "bernoulli" and link_kind != "logistic":
         raise InvalidConfigError(
             f"noise: bernoulli rewards require the logistic link, not {link_kind!r}"
         )
-    if noise == "gaussian" and (sigma is None or sigma < 0):
-        raise InvalidConfigError("sigma: gaussian noise requires a nonnegative sigma")
-    if context_dist not in CONTEXT_DISTRIBUTIONS:
-        raise InvalidConfigError(f"context_dist: unknown context distribution {context_dist!r}")
+    sub_gaussian_sigma(noise, sigma)  # gaussian noise needs a sigma
+    _check_context_dist(context_dist, fixed_contexts)
+    if fixed_contexts is not None:
+        try:
+            shape = np.shape(fixed_contexts)
+        except ValueError:  # ragged rows
+            shape = None
+        if shape != (K, d):
+            raise InvalidConfigError("fixed_contexts must have shape (K, d)")
+        if (np.linalg.norm(np.asarray(fixed_contexts, dtype=float), axis=1) > 1.0 + 1e-12).any():
+            raise InvalidConfigError("fixed_contexts must lie in the unit ball")
+    if theta_star is not None and np.shape(theta_star) != (d,):
+        raise InvalidConfigError("theta_star must have length d")
+
+
+def _check_context_dist(dist: str, fixed_contexts=None) -> None:
+    """Reject an unknown context distribution, or 'fixed' without contexts."""
+    if dist not in CONTEXT_DISTRIBUTIONS:
+        raise InvalidConfigError(f"context_dist: unknown context distribution {dist!r}")
+    if dist == "fixed" and fixed_contexts is None:
+        raise InvalidConfigError("context_dist 'fixed' requires fixed_contexts")
 
 
 def sub_gaussian_sigma(noise: str, sigma: float | None) -> float:
@@ -48,7 +71,7 @@ def sub_gaussian_sigma(noise: str, sigma: float | None) -> float:
     if noise == "bernoulli":
         return BERNOULLI_SUB_GAUSSIAN_SIGMA
     if sigma is None:
-        raise InvalidConfigError("gaussian noise requires sigma")
+        raise InvalidConfigError("sigma: gaussian noise requires sigma")
     return float(sigma)
 
 
@@ -66,15 +89,12 @@ def sample_context_batch(
     ``(rounds, n, d)`` array, bit-identical to ``rounds`` successive
     single-batch calls on the same generator.
     """
+    _check_context_dist(dist, fixed_contexts)
     m = 1 if rounds is None else rounds
     if dist == "fixed":
-        if fixed_contexts is None:
-            raise InvalidConfigError("context_dist 'fixed' requires fixed_contexts")
         if n != fixed_contexts.shape[0]:
             raise InvalidConfigError("fixed contexts must supply one vector per arm")
         return fixed_contexts if rounds is None else np.broadcast_to(fixed_contexts, (m, n, d))
-    if dist not in CONTEXT_DISTRIBUTIONS:
-        raise InvalidConfigError(f"unknown context distribution {dist!r}")
     if dist == "uniform_ball":
         # Each batch draws its normals and then its radii from the one
         # stream, so a multi-round draw keeps that interleaving.
@@ -110,18 +130,15 @@ def second_moment_min_eig(
     clipped N(0, I/d) draw c = [P(chi2_{d+2} <= d) + P(chi2_d > d)] / d
     (split E[min(|Z|^2, 1)] at the clipping boundary).
     """
+    _check_context_dist(dist, fixed_contexts)
     if dist == "uniform_ball":
         return 1.0 / (d + 2)
     if dist == "sphere":
         return 1.0 / d
     if dist == "gaussian_normalized":
         return float(chi2.cdf(d, d + 2) + chi2.sf(d, d)) / d
-    if dist == "fixed":
-        if fixed_contexts is None:
-            raise InvalidConfigError("context_dist 'fixed' requires fixed_contexts")
-        gram = fixed_contexts.T @ fixed_contexts / fixed_contexts.shape[0]
-        return float(np.linalg.eigvalsh(gram)[0])
-    raise InvalidConfigError(f"unknown context distribution {dist!r}")
+    gram = fixed_contexts.T @ fixed_contexts / fixed_contexts.shape[0]
+    return float(np.linalg.eigvalsh(gram)[0])
 
 
 def draw_theta_star(gen: np.random.Generator, d: int, norm: float) -> np.ndarray:
@@ -147,16 +164,13 @@ class Environment:
     fixed_contexts: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
-        check_world(self.link.kind, self.noise, self.sigma, self.context_dist)
         self.theta_star = np.asarray(self.theta_star, dtype=float)
-        if self.theta_star.shape != (self.d,):
-            raise InvalidConfigError("theta_star must have length d")
         if self.fixed_contexts is not None:
             self.fixed_contexts = np.asarray(self.fixed_contexts, dtype=float)
-            if self.fixed_contexts.shape != (self.K, self.d):
-                raise InvalidConfigError("fixed_contexts must have shape (K, d)")
-            if (np.linalg.norm(self.fixed_contexts, axis=1) > 1.0 + 1e-12).any():
-                raise InvalidConfigError("fixed contexts must lie in the unit ball")
+        check_world(
+            self.link.kind, self.noise, self.sigma, self.context_dist, self.d, self.K,
+            self.fixed_contexts, self.theta_star,
+        )
 
     @classmethod
     def build(

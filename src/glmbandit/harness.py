@@ -34,12 +34,13 @@ from .environment import (
 from .errors import InvalidConfigError
 from .links import compute_kappa, get_link
 from .policies import (
-    ALPHA_RULES,
     NON_LEARNING_KINDS,
     POLICY_KINDS,
     BasePolicy,
     PolicyConfig,
     alpha_from_rule,
+    check_config,
+    check_tau,
     make_policy,
     tau_for_supcb,
     tau_for_theorem4,
@@ -115,10 +116,13 @@ def _conform(name: str, value, kind):
 
 
 def check_spec_types(spec) -> None:
-    """Check every field of a spec dataclass against its declared type."""
+    """Check every field of a spec dataclass against its declared type,
+    then against its key's rule in ``policies.CONFIG_RULES``."""
     types = _field_types(type(spec))
-    for f in fields(spec):
-        _conform(f.name, getattr(spec, f.name), types[f.name])
+    values = {f.name: getattr(spec, f.name) for f in fields(spec)}
+    for name, value in values.items():
+        _conform(name, value, types[name])
+    check_config(**values)
 
 
 def spec_from_dict(cls, raw: dict, what: str):
@@ -177,20 +181,6 @@ class ExperimentSpec:
 
     def validate(self) -> None:
         check_spec_types(self)
-        if self.fixed_contexts is not None:
-            rows = self.fixed_contexts
-            if len(rows) != self.K or any(len(row) != self.d for row in rows):
-                raise InvalidConfigError("fixed_contexts must have shape (K, d)")
-        if self.theta_norm < 0:
-            raise InvalidConfigError("theta_norm must be nonnegative")
-        if min(self.T, self.d, self.K) < 1:
-            raise InvalidConfigError("T, d, K must be positive")
-        if self.replications < 1:
-            raise InvalidConfigError("replications must be at least 1")
-        if self.record_every < 1:
-            raise InvalidConfigError("record_every must be at least 1")
-        if self.master_seed < 0:
-            raise InvalidConfigError("master_seed must be nonnegative")
         if not self.algorithms:
             raise InvalidConfigError("at least one algorithm is required")
         if len(set(self.algorithms)) < len(self.algorithms):
@@ -200,20 +190,11 @@ class ExperimentSpec:
                 raise InvalidConfigError(
                     f"unknown algorithm {name!r}; expected one of {POLICY_KINDS}"
                 )
-        get_link(self.link)
-        check_world(self.link, self.noise, self.sigma, self.context_dist)
-        if self.context_dist == "fixed" and self.fixed_contexts is None:
-            raise InvalidConfigError("context_dist 'fixed' requires fixed_contexts")
-        if self.tau is not None and not 0 <= self.tau <= self.T:
-            raise InvalidConfigError("tau must lie in [0, T]")
-        if self.theta_star is not None and len(self.theta_star) != self.d:
-            raise InvalidConfigError("theta_star must have length d")
-        if self.alpha_rule not in (None, *ALPHA_RULES):
-            raise InvalidConfigError(f"unknown alpha_rule {self.alpha_rule!r}")
-        if self.alpha is not None and self.alpha < 0:
-            raise InvalidConfigError("alpha must be nonnegative")
-        if not 0 < self.delta < 1:
-            raise InvalidConfigError("delta must lie in (0, 1)")
+        check_world(
+            self.link, self.noise, self.sigma, self.context_dist, self.d, self.K,
+            self.fixed_contexts, self.theta_star,
+        )
+        check_tau(self.tau, self.T)
         for name in self.algorithms:
             resolve_policy_config(self, name)
 
@@ -254,6 +235,8 @@ def resolve_policy_config(spec: ExperimentSpec, algorithm: str) -> PolicyConfig:
     kappa = spec.resolved_kappa()
     sigma = sub_gaussian_sigma(spec.noise, spec.sigma)
     if base in ("ucb-glm", "supcb-glm"):
+        if kappa == 0.0:  # a derived kappa: an explicit one is > 0
+            raise InvalidConfigError(f"kappa underflows to 0 at this theta_norm; {base} needs it")
         rule = spec.alpha_rule or ("theorem3" if base == "supcb-glm" else "theorem2")
         alpha = alpha_from_rule(
             rule,
@@ -274,11 +257,6 @@ def resolve_policy_config(spec: ExperimentSpec, algorithm: str) -> PolicyConfig:
             tau, tau_rule = tau_for_theorem4(spec.d, spec.T, sigma, kappa), "theorem4"
         else:
             tau, tau_rule = tau_for_ucb(spec.d, spec.delta, spec.sigma0_sq()), "c16_default"
-        if tau > spec.T:
-            raise InvalidConfigError(
-                f"derived tau={tau} exceeds the horizon T={spec.T}; "
-                f"set tau explicitly or increase T"
-            )
     else:
         rule, alpha, tau, tau_rule = "explicit", 0.0, 0, "none"
     return PolicyConfig(
@@ -444,12 +422,6 @@ def simulate(
 
 
 def build_environment(spec: ExperimentSpec, replication: int) -> Environment:
-    fixed = None
-    if spec.fixed_contexts is not None:
-        fixed = np.asarray(spec.fixed_contexts, dtype=float)
-    theta = None
-    if spec.theta_star is not None:
-        theta = np.asarray(spec.theta_star, dtype=float)
     return Environment.build(
         d=spec.d,
         K=spec.K,
@@ -460,8 +432,8 @@ def build_environment(spec: ExperimentSpec, replication: int) -> Environment:
         theta_norm=spec.theta_norm,
         master_seed=spec.master_seed,
         replication=replication,
-        fixed_contexts=fixed,
-        theta_star=theta,
+        fixed_contexts=spec.fixed_contexts,
+        theta_star=spec.theta_star,
     )
 
 

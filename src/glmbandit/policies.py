@@ -7,12 +7,12 @@ a deterministic function of (config, seed, context stream).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from .design import DesignState, min_eigenvalue, weighted_norms
-from .errors import InvalidConfigError, SingularDesignError
+from .errors import InvalidConfigError
 from .links import LinkFunction
 from .mle import mle_fit
 
@@ -30,6 +30,42 @@ POLICY_KINDS = (
 # Policies that do not learn: they select a whole chunk of rounds at once
 # and cost next to nothing beside a learner's per-round refit.
 NON_LEARNING_KINDS = ("uniform", "oracle")
+
+
+# The one rule on each config key's value, asked by every door that takes
+# the key. Keys are checked in this order, so a config with several bad
+# values names the first of them here.
+_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
+CONFIG_RULES = {
+    "alpha_rule": (lambda v: v in ALPHA_RULES, f"must be one of {ALPHA_RULES}"),
+    **dict.fromkeys(("T", "d", "K", "n", "replications", "record_every"), _AT_LEAST_1),
+    **dict.fromkeys(("master_seed", "tau", "theta_norm", "sigma", "alpha"), _NONNEGATIVE),
+    "n_random_directions": _NONNEGATIVE,
+    "kappa": (lambda v: v > 0, "must be positive"),
+    "delta": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
+    "epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
+    "n_grid": (
+        lambda v: min(v, default=0) > 0 and sorted(v) == list(v), "must be increasing and positive"
+    ),
+}
+
+
+def check_config(**values) -> None:
+    """Raise InvalidConfigError naming the key of the first value that breaks
+    its rule in CONFIG_RULES; None, an absent key, is its door's to judge."""
+    for name, (ok, rule) in CONFIG_RULES.items():
+        value = values.get(name)
+        if value is not None and not ok(value):
+            raise InvalidConfigError(f"{name} {rule}, got {value!r}")
+
+
+def check_tau(tau: int | None, T: int) -> None:
+    """tau's rule across keys, for a given or derived tau: it fits in T."""
+    if tau is not None and tau > T:
+        raise InvalidConfigError(
+            f"tau={tau} exceeds the horizon T={T}; set a smaller tau or increase T"
+        )
 
 
 def alpha_from_rule(
@@ -51,14 +87,12 @@ def alpha_from_rule(
     theorem4: L_mu * sigma / kappa (top of the admissible range)
     explicit: the caller's value, unchanged.
     """
-    if rule not in ALPHA_RULES:
-        raise InvalidConfigError(f"unknown alpha rule {rule!r}")
+    check_config(alpha_rule=rule, alpha=alpha)
     if rule == "explicit":
-        if alpha is None or alpha < 0:
-            raise InvalidConfigError("explicit alpha rule requires alpha >= 0")
+        if alpha is None:
+            raise InvalidConfigError("alpha: the explicit alpha rule requires alpha")
         return float(alpha)
-    if min(T, d, K) < 1 or sigma < 0 or kappa <= 0 or not 0 < delta < 1:
-        raise InvalidConfigError("alpha rules need positive T/d/K/kappa, sigma >= 0, delta in (0,1)")
+    check_config(T=T, d=d, K=K, delta=delta, sigma=sigma, kappa=kappa)
     if rule == "theorem2":
         return (sigma / kappa) * math.sqrt(
             0.5 * d * math.log(1.0 + 2.0 * T / d) + math.log(1.0 / delta)
@@ -77,8 +111,9 @@ def tau_for_ucb(d: int, delta: float, sigma0_sq: float, c: float = 16.0) -> int:
     consistency threshold 16 sigma^2 (d + log(1/delta)) / kappa^2.  Floored
     at d so the initial design can ever be invertible.
     """
-    if sigma0_sq <= 0 or not 0 < delta < 1:
-        raise InvalidConfigError("tau rule needs sigma0_sq > 0 and delta in (0,1)")
+    check_config(d=d, delta=delta)
+    if sigma0_sq <= 0:
+        raise InvalidConfigError(f"tau rule needs sigma0_sq > 0, got {sigma0_sq:.3g}")
     tau = c * (d + math.log(1.0 / delta)) / sigma0_sq
     if not math.isfinite(tau):
         raise InvalidConfigError(f"tau rule overflows at sigma0_sq={sigma0_sq:.3g}")
@@ -87,13 +122,15 @@ def tau_for_ucb(d: int, delta: float, sigma0_sq: float, c: float = 16.0) -> int:
 
 def tau_for_supcb(d: int, T: int) -> int:
     """Default SupCB-GLM initialization length sqrt(d T)."""
+    check_config(d=d, T=T)
     return max(d, math.ceil(math.sqrt(d * T)))
 
 
 def tau_for_theorem4(d: int, T: int, sigma: float, kappa: float) -> int:
     """Alternate tuning (8 sigma^2 / kappa^2) d log T used with theorem4 alpha."""
-    if sigma <= 0 or kappa <= 0 or T < 2:
-        raise InvalidConfigError("theorem4 tau rule needs sigma, kappa > 0 and T >= 2")
+    check_config(d=d, T=T, sigma=sigma, kappa=kappa)
+    if T < 2 or sigma == 0:  # log T > 0; at sigma = 0 the rule is just its floor d
+        raise InvalidConfigError("theorem4 tau rule needs T >= 2 and sigma > 0")
     return max(d, math.ceil(8.0 * sigma**2 / kappa**2 * d * math.log(T)))
 
 
@@ -114,20 +151,9 @@ class PolicyConfig:
     tau_rule: str = "none"  # which rule produced tau, echoed in meta.json
 
     def validated(self) -> PolicyConfig:
-        if min(self.T, self.d, self.K) < 1:
-            raise InvalidConfigError("T, d, K must be positive")
-        if not 0 <= self.tau <= self.T:
-            raise InvalidConfigError("tau must lie in [0, T]")
-        if self.alpha < 0:
-            raise InvalidConfigError("alpha must be nonnegative")
-        if self.kappa <= 0 or self.sigma < 0:
-            raise InvalidConfigError("kappa must be positive and sigma nonnegative")
-        if not 0 < self.delta < 1:
-            raise InvalidConfigError("delta must lie in (0, 1)")
-        if not 0 <= self.epsilon <= 1:
-            raise InvalidConfigError("epsilon must lie in [0, 1]")
-        if self.alpha_rule not in ALPHA_RULES:
-            raise InvalidConfigError(f"unknown alpha rule {self.alpha_rule!r}")
+        # kappa is only echoed here; the rules that divide by it check it.
+        check_config(**{f.name: getattr(self, f.name) for f in fields(self) if f.name != "kappa"})
+        check_tau(self.tau, self.T)
         return self
 
 
@@ -273,12 +299,7 @@ class UcbGlmPolicy(_GlmFitPolicy):
         design = self.fit.design
         if self.lambda_min_init is None:
             self.lambda_min_init = min_eigenvalue(design.V)
-        v_inv = design.try_inverse()
-        if v_inv is None:
-            raise SingularDesignError(
-                f"design still singular at round {t}; initialization phase "
-                f"(tau={cfg.tau}) was insufficient"
-            )
+        v_inv = design.inverse()  # raises SingularDesignError before any refit
         means, widths = ucb_scores(contexts, self._refit(self.fit), v_inv, cfg.alpha)
         return greedy_argmax(means + widths)
 
@@ -363,12 +384,7 @@ class SupCbGlmPolicy(BasePolicy):
         fit = self._fits[s]
         if fit is None:
             fit = self._fits[s] = GlmFit(self.link, self._fits[0].design.copy())
-        v_inv = fit.design.try_inverse()
-        if v_inv is None:
-            raise SingularDesignError(
-                f"stage {s} design singular at {fit.design.n} observations; "
-                f"initialization phase (tau={self.config.tau}) was insufficient"
-            )
+        v_inv = fit.design.inverse()
         return ucb_scores(contexts, self._refit(fit), v_inv, self.config.alpha)
 
     def select(self, t: int, contexts: np.ndarray) -> int:

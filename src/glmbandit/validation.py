@@ -37,9 +37,9 @@ from .harness import (
     simulate,
     spec_from_dict,
 )
-from .links import LinkFunction, compute_kappa, get_link
+from .links import LinkFunction, compute_kappa
 from .mle import mle_fit
-from .policies import UcbGlmPolicy
+from .policies import UcbGlmPolicy, check_config
 
 
 @dataclass
@@ -109,33 +109,10 @@ class ValidationSpec:
 
     def validate(self) -> None:
         check_spec_types(self)
-        get_link(self.link)
-        check_world(self.link, self.noise, self.sigma, self.context_dist)
         # The checks draw iid contexts; there is no key for fixed ones.
         if self.context_dist == "fixed":
             raise InvalidConfigError("context_dist: 'fixed' is not supported by the checks")
-        if min(self.d, self.n, self.K, self.T, self.replications) < 1:
-            raise InvalidConfigError("d, n, K, T and replications must be positive")
-        if self.master_seed < 0:
-            raise InvalidConfigError("master_seed must be nonnegative")
-        if not 0 < self.delta < 1:
-            raise InvalidConfigError("delta must lie in (0, 1)")
-        if self.sigma is not None and self.sigma < 0:
-            raise InvalidConfigError("sigma must be nonnegative")
-        if self.theta_norm < 0:
-            raise InvalidConfigError("theta_norm must be nonnegative")
-        if self.tau is not None and self.tau < 0:
-            raise InvalidConfigError("tau must be nonnegative")
-        if self.kappa is not None and self.kappa <= 0:
-            raise InvalidConfigError("kappa must be positive")
-        if self.n_random_directions < 0:
-            raise InvalidConfigError("n_random_directions must be nonnegative")
-        if self.n_grid is not None and not _increasing_positive(self.n_grid):
-            raise InvalidConfigError("n_grid must be increasing and positive")
-
-
-def _increasing_positive(n_grid) -> bool:
-    return len(n_grid) > 0 and n_grid[0] >= 1 and sorted(n_grid) == list(n_grid)
+        check_world(self.link, self.noise, self.sigma, self.context_dist, self.d, self.K)
 
 
 def probe_directions(d: int, n_random: int, master_seed: int = 0) -> np.ndarray:
@@ -280,8 +257,7 @@ def proposition1_growth(
     Passes when the median of lambda_min(V_n)/n at the largest grid point
     is within 10% of lambda_min(E[X X']).
     """
-    if not _increasing_positive(n_grid):
-        raise InvalidConfigError("n_grid must be increasing and positive")
+    check_config(n_grid=n_grid)
     target = second_moment_min_eig(context_dist, d)
     ratios = np.empty((replications, len(n_grid)))
     for rep in range(replications):

@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtr
 
 from glmbandit.design import DesignState, min_eigenvalue
 from glmbandit.errors import InvalidConfigError, SingularDesignError
@@ -34,6 +35,9 @@ def _log_partition(kind: str, z: np.ndarray) -> np.ndarray:
         return 0.5 * z * z
     if kind == "logistic":
         return np.logaddexp(0.0, z)
+    if kind == "probit":
+        # d/dz [z Phi(z) + phi(z)] = Phi(z) + z phi(z) - z phi(z) = Phi(z).
+        return z * ndtr(z) + np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)
     raise ValueError(f"no log partition for link {kind!r}")
 
 
@@ -238,6 +242,14 @@ def scalar_reward(env, x: np.ndarray) -> float:
     if env.noise == "bernoulli":
         return float(env.rewards_rng.random() < mean)
     return mean + env.sigma * float(env.rewards_rng.standard_normal())
+
+
+def _inverse_or_none(design: DesignState) -> np.ndarray | None:
+    """``design.inverse()``, or None while V is below the eigenvalue floor."""
+    try:
+        return design.inverse()
+    except SingularDesignError:
+        return None
 
 
 def consistency_error(state) -> float:
@@ -591,7 +603,7 @@ class ReferenceUcbGlmPolicy(ReferenceGlmFitPolicy):
             return int(self.rng.integers(cfg.K))
         if self.lambda_min_init is None:
             self.lambda_min_init = min_eigenvalue(self.design.V)
-        v_inv = self.design.try_inverse()
+        v_inv = _inverse_or_none(self.design)
         if v_inv is None:
             raise SingularDesignError(
                 f"design still singular at round {t}; initialization phase "
@@ -615,7 +627,7 @@ class ReferenceEpsilonGreedyPolicy(ReferenceGlmFitPolicy):
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
         coin = float(self.rng.random())
-        v_inv = self.design.try_inverse()
+        v_inv = _inverse_or_none(self.design)
         if coin < cfg.epsilon or v_inv is None:
             self.last_mle_converged = True
             return int(self.rng.integers(cfg.K))
@@ -666,7 +678,7 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
         cannot continue.
         """
         design = self._stage_designs[s]
-        v_inv = design.try_inverse()
+        v_inv = _inverse_or_none(design)
         if v_inv is not None:
             if self._stage_dirty[s]:
                 result = mle_fit(
@@ -682,7 +694,7 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
                     self.last_mle_converged = False
             theta = self._stage_thetas[s]
         else:
-            v_inv = self._init_design.try_inverse()
+            v_inv = _inverse_or_none(self._init_design)
             if v_inv is None:
                 raise SingularDesignError(
                     f"stage {s} and initialization designs are both singular"

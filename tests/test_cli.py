@@ -1,6 +1,7 @@
 import errno
 import json
 import os
+from unittest import mock
 
 import pytest
 
@@ -78,6 +79,30 @@ def test_non_finite_or_negative_spec_values_exit_1(tmp_path, run_config, overrid
     path = write_json(tmp_path / "bad_value.json", raw)
     out = tmp_path / "results"
     assert cli_main(["run", "--config", path, "--out", str(out)]) == 1
+    assert next(iter(overrides)) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"sigma": -1.0, "link": "logistic", "noise": "bernoulli"},
+        {"fixed_contexts": [[1.0, 0.5], [0.0, 1.0], [0.6, 0.8]], "context_dist": "fixed"},
+    ],
+    ids=["bernoulli-sigma-negative", "fixed-contexts-outside-ball"],
+)
+def test_run_and_sweep_reject_at_parse_time(tmp_path, run_config, capsys, overrides, command):
+    raw = json.loads(open(run_config).read())
+    raw.update(overrides)
+    path = write_json(tmp_path / "bad_value.json", raw)
+    out = tmp_path / "results"
+    argv = [command, "--config", path, "--out", str(out)]
+    if command == "sweep":
+        argv += ["--param", "epsilon", "--values", "0.1,0.2"]
+    with mock.patch.object(cli, "run_experiment") as run, mock.patch.object(cli, "sweep") as swept:
+        assert cli_main(argv) == 1
+    assert not run.called and not swept.called
     assert next(iter(overrides)) in capsys.readouterr().err
     assert not out.exists()
 

@@ -117,11 +117,10 @@ def test_zero_vector_update_is_inert():
     assert state.n == 4
 
 
-def test_singular_design_raises_and_try_inverse_returns_none():
+def test_singular_design_raises_and_names_tau():
     state = DesignState(3)
     state.update(np.array([1.0, 0.0, 0.0]), 0.0)
-    assert state.try_inverse() is None
-    with pytest.raises(SingularDesignError):
+    with pytest.raises(SingularDesignError, match="tau"):
         state.inverse()
 
 

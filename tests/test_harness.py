@@ -1,13 +1,17 @@
+import ast
+import collections
 import dataclasses
 import json
 import math
 import os
+import pathlib
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import glmbandit
 from glmbandit import harness
 from glmbandit import rng as streams
 from glmbandit.errors import InvalidConfigError
@@ -26,7 +30,8 @@ from glmbandit.harness import (
     sweep,
 )
 from glmbandit.links import get_link
-from glmbandit.policies import make_policy
+from glmbandit.policies import PolicyConfig, alpha_from_rule, make_policy
+from glmbandit.validation import ValidationSpec
 
 from oracles import parse_trace_csv, reference_simulate
 
@@ -86,12 +91,91 @@ def test_gaussian_requires_sigma():
 
 @pytest.mark.parametrize(
     "overrides",
-    [{"noise": "poisson"}, {"noise": "bernoulli"}, {"sigma": -0.1}, {"context_dist": "torus"}],
-    ids=["noise-poisson", "bernoulli-identity", "sigma-negative", "context-torus"],
+    [
+        {"noise": "poisson"},
+        {"noise": "bernoulli"},
+        {"sigma": -0.1},
+        {"context_dist": "torus"},
+        {"sigma": -1.0, "link": "logistic", "noise": "bernoulli"},
+        {"fixed_contexts": [[1.0, 0.5], [0.0, 1.0]], "context_dist": "fixed", "K": 2},
+    ],
+    ids=[
+        "noise-poisson", "bernoulli-identity", "sigma-negative", "context-torus",
+        "sigma-negative-bernoulli", "fixed-contexts-outside-ball",
+    ],
 )
 def test_bad_world_rejected_when_parsed(overrides):
     with pytest.raises(InvalidConfigError, match=next(iter(overrides))):
         base_spec(**overrides)
+
+
+# Far enough out that the link's slope floor kappa underflows to 0.0.
+_KAPPA_UNDERFLOW = [
+    {"link": "logistic", "noise": "bernoulli", "sigma": None, "theta_norm": 36.0},
+    {"link": "probit", "theta_norm": 40.0},
+]
+
+
+@pytest.mark.parametrize("world", _KAPPA_UNDERFLOW, ids=["logistic", "probit"])
+def test_runs_that_divide_by_no_kappa_accept_its_underflow(world):
+    spec = base_spec(**world, algorithms=["uniform", "oracle", "epsilon-greedy", "greedy"])
+    assert spec.resolved_kappa() == 0.0
+    result = run_experiment(dataclasses.replace(spec, T=40, replications=1))
+    assert {derived["kappa"] for derived in result.summary.derived.values()} == {0.0}
+
+
+@pytest.mark.parametrize("algorithm", ["ucb-glm", "supcb-glm"])
+@pytest.mark.parametrize("world", _KAPPA_UNDERFLOW, ids=["logistic", "probit"])
+def test_kappa_underflow_rejected_where_kappa_is_divided_by(world, algorithm):
+    with pytest.raises(InvalidConfigError, match="theta_norm") as caught:
+        base_spec(**world, algorithms=[algorithm, "uniform"])
+    assert "kappa" in str(caught.value)
+
+
+# One bad value per scalar key that the two specs share.
+_BAD_VALUES = {
+    "d": 0, "K": 0, "T": 0, "delta": 1.5, "sigma": -1.0, "theta_norm": -1.0, "tau": -1,
+    "kappa": 0.0, "master_seed": -1, "replications": 0,
+}
+_POLICY_CONFIG = dict(T=100, d=2, K=3, alpha=1.0, tau=10, kappa=0.5, sigma=0.5, delta=0.1)
+_ALPHA_RULE_ARGS = dict(T=100, d=2, K=3, delta=0.1, sigma=0.5, kappa=0.5)
+
+
+@pytest.mark.parametrize("key, bad", sorted(_BAD_VALUES.items()))
+def test_every_door_gives_a_key_one_verdict(key, bad):
+    doors = [lambda: base_spec(**{key: bad}), lambda: ValidationSpec.from_dict({key: bad})]
+    # PolicyConfig only echoes kappa; the alpha and tau rules divide by it.
+    if key in _POLICY_CONFIG and key != "kappa":
+        doors.append(lambda: PolicyConfig(**{**_POLICY_CONFIG, key: bad}).validated())
+    if key in _ALPHA_RULE_ARGS:
+        doors.append(lambda: alpha_from_rule("theorem2", **{**_ALPHA_RULE_ARGS, key: bad}))
+    for door in doors:
+        with pytest.raises(InvalidConfigError, match=rf"\b{key}\b"):
+            door()
+
+
+def _message_text(node) -> str:
+    """A raised message's text, with each f-string field as {}."""
+    if isinstance(node, ast.Constant):
+        return str(node.value)
+    if isinstance(node, ast.JoinedStr):
+        parts = (_message_text(v) if isinstance(v, ast.Constant) else "{}" for v in node.values)
+        return "".join(parts)
+    return ast.unparse(node)
+
+
+def test_each_config_error_message_is_raised_from_one_site():
+    sites = collections.defaultdict(list)
+    for path in sorted(pathlib.Path(glmbandit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            exc = node.exc if isinstance(node, ast.Raise) else None
+            if (
+                isinstance(exc, ast.Call)
+                and getattr(exc.func, "id", None) == "InvalidConfigError"
+                and exc.args
+            ):
+                sites[_message_text(exc.args[0])].append(f"{path.name}:{node.lineno}")
+    assert {text: where for text, where in sites.items() if len(where) > 1} == {}
 
 
 @pytest.mark.parametrize(
@@ -172,6 +256,8 @@ def test_list_entries_become_floats():
 
 
 _FINITE = st.floats(-1.0, 1.0)
+# Parsing rejects fixed contexts outside the unit ball: 0.7 * sqrt(2) < 1.
+_IN_BALL = st.floats(-0.7, 0.7)
 _EXPERIMENT_SPECS = st.builds(
     ExperimentSpec,
     T=st.integers(1, 10**6),
@@ -186,7 +272,7 @@ _EXPERIMENT_SPECS = st.builds(
     ).map(tuple),
     sigma=st.floats(0.0, 10.0),
     context_dist=st.just("fixed"),
-    fixed_contexts=st.tuples(*[st.tuples(_FINITE, _FINITE)] * 3),
+    fixed_contexts=st.tuples(*[st.tuples(_IN_BALL, _IN_BALL)] * 3),
     theta_norm=st.floats(0.0, 5.0),
     theta_star=st.none() | st.tuples(_FINITE, _FINITE),
     alpha=st.none() | st.floats(0.0, 100.0),

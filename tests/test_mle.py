@@ -52,12 +52,13 @@ def test_converged_means_score_below_tolerance():
     assert recomputed <= 1e-8
 
 
-def test_matches_gradient_ascent_oracle():
-    gen = np.random.default_rng(12)
-    for _ in range(20):
-        xs, ys, fit = random_logistic_instance(LOGISTIC, gen)
-        oracle = grad_ascent_mle(LOGISTIC, xs, ys)
-        assert np.abs(fit.theta - oracle).max() <= 1e-6
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(sorted(LINKS)), st.integers(0, 2**32 - 1))
+def test_matches_gradient_ascent_oracle(kind, seed):
+    link = LINKS[kind]
+    xs, ys, fit = random_logistic_instance(link, np.random.default_rng(seed))
+    oracle = grad_ascent_mle(link, xs, ys)
+    assert np.abs(fit.theta - oracle).max() <= 1e-6
 
 
 def test_warm_start_validation():
