@@ -40,6 +40,7 @@ from .policies import (
     PolicyConfig,
     alpha_from_rule,
     check_config,
+    check_supcb_horizon,
     check_tau,
     make_policy,
     tau_for_supcb,
@@ -234,6 +235,8 @@ def resolve_policy_config(spec: ExperimentSpec, algorithm: str) -> PolicyConfig:
     link = get_link(spec.link)
     kappa = spec.resolved_kappa()
     sigma = sub_gaussian_sigma(spec.noise, spec.sigma)
+    if base == "supcb-glm":
+        check_supcb_horizon(spec.T)
     if base in ("ucb-glm", "supcb-glm"):
         if kappa == 0.0:  # a derived kappa: an explicit one is > 0
             raise InvalidConfigError(f"kappa underflows to 0 at this theta_norm; {base} needs it")

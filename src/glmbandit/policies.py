@@ -126,6 +126,12 @@ def tau_for_supcb(d: int, T: int) -> int:
     return max(d, math.ceil(math.sqrt(d * T)))
 
 
+def check_supcb_horizon(T: int) -> None:
+    """SupCB-GLM's rule on T: its floor(log2 T) stages need T >= 2."""
+    if T < 2:
+        raise InvalidConfigError("supcb-glm needs T >= 2")
+
+
 def tau_for_theorem4(d: int, T: int, sigma: float, kappa: float) -> int:
     """Alternate tuning (8 sigma^2 / kappa^2) d log T used with theorem4 alpha."""
     check_config(d=d, T=T, sigma=sigma, kappa=kappa)
@@ -365,8 +371,7 @@ class SupCbGlmPolicy(BasePolicy):
 
     def __init__(self, config: PolicyConfig, link: LinkFunction, rng: np.random.Generator):
         super().__init__(config, rng)
-        if config.T < 2:
-            raise InvalidConfigError("supcb-glm needs T >= 2")
+        check_supcb_horizon(config.T)
         self.link = link
         self.S = int(math.floor(math.log2(config.T)))
         # Slot 0 logs F and is never fit; slot s fits on Psi_s united with F

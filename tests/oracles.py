@@ -3,7 +3,9 @@
 These deliberately avoid the code paths they verify: the MLE oracle is
 first-order only (no Newton, no Fisher solves), the reference Newton loop
 keeps the plain per-step evaluations that the library's loop reuses,
-batches or skips, the reference sigmoid keeps a fresh temporary per step, and the eigenvalue oracle brackets a root of the characteristic
+batches or skips, the reference sigmoid keeps a fresh temporary per step,
+the reference context draw normalises rows by ``np.linalg.norm`` and
+broadcasts, and the eigenvalue oracle brackets a root of the characteristic
 polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, per-index stage
 scores, regret of one round, scalar reward draws, the SupCB-GLM round
@@ -147,6 +149,34 @@ def reference_sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     ez = np.exp(-np.abs(z))
     return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+
+
+def reference_sample_context_batch(
+    gen: np.random.Generator, dist: str, n: int, d: int, rounds: int | None = None
+) -> np.ndarray:
+    """The iid context draw as first written, row norms by ``np.linalg.norm``
+    and rescaling by ``[..., None]`` broadcasts into fresh arrays, kept as
+    the bit-identity reference for ``sample_context_batch``."""
+    m = 1 if rounds is None else rounds
+    if dist == "uniform_ball":
+        z = np.empty((m, n, d))
+        u = np.empty((m, n))
+        for i in range(m):
+            gen.standard_normal(out=z[i])
+            gen.random(out=u[i])
+    else:
+        z = gen.standard_normal((m, n, d))
+    norms = np.linalg.norm(z, axis=-1)
+    norms[norms == 0.0] = 1.0
+    if dist == "sphere":
+        out = z / norms[..., None]
+    elif dist == "uniform_ball":
+        out = z / norms[..., None] * (u ** (1.0 / d))[..., None]
+    else:
+        scaled = norms / np.sqrt(d)
+        shrink = np.maximum(scaled, 1.0)
+        out = z / np.sqrt(d) / shrink[..., None]
+    return out[0] if rounds is None else out
 
 
 def reference_mle_fit(link, xs, ys, warm_start=None, tolerance=1e-8, max_iterations=100):
@@ -485,11 +515,10 @@ def reference_draw_sample(
     ``Environment.sample_log``, which the checks now draw through.
     """
     from glmbandit import rng as streams
-    from glmbandit.environment import sample_context_batch
 
     ctx_gen = streams.stream(master_seed, replication, streams.CONTEXTS)
     rew_gen = streams.stream(master_seed, replication, streams.REWARDS)
-    xs = sample_context_batch(ctx_gen, context_dist, n, d)
+    xs = reference_sample_context_batch(ctx_gen, context_dist, n, d)
     means = np.asarray(link.mu(xs @ theta), dtype=float)
     if noise == "bernoulli":
         ys = (rew_gen.random(n) < means).astype(float)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from glmbandit import rng as streams
 from glmbandit.environment import (
+    PAIRWISE_BLOCK,
     Environment,
     draw_theta_star,
     sample_context_batch,
@@ -13,7 +14,12 @@ from glmbandit.environment import (
 from glmbandit.errors import InvalidConfigError
 from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, get_link
 
-from oracles import instantaneous_regret, optimal_arm, reference_draw_sample
+from oracles import (
+    instantaneous_regret,
+    optimal_arm,
+    reference_draw_sample,
+    reference_sample_context_batch,
+)
 
 
 def _env(**overrides):
@@ -71,6 +77,69 @@ def test_fixed_context_distribution():
     )
     assert np.array_equal(env.sample_contexts(), fixed)
     assert second_moment_min_eig("fixed", 2, fixed) == pytest.approx(0.5)
+
+
+def test_sample_log_on_a_fixed_world_returns_the_fixed_rows():
+    fixed = np.array([[0.6, 0.0], [0.0, -0.8]])
+    kwargs = dict(d=2, K=2, link=IDENTITY, noise="gaussian", sigma=0.1,
+                  context_dist="fixed", fixed_contexts=fixed)
+    env, twin = _env(**kwargs), _env(**kwargs)
+    xs, ys, eps = env.sample_log(2)
+    means = twin.arm_means(fixed)
+    assert np.array_equal(xs, fixed)
+    assert np.array_equal(ys, twin.rewards(means, twin.sample_noise(2)))
+    assert np.array_equal(eps, ys - means)
+    with pytest.raises(InvalidConfigError, match="one vector per arm"):
+        env.sample_log(3)
+
+
+class _PlantingGenerator:
+    """A generator whose normal draws carry planted rows: the drawn row with
+    every entry set to a zero of its own sign, or scaled by 1e-300 or 1e150."""
+
+    def __init__(self, seed: int, plants: list[tuple[int, object]]):
+        self._gen = np.random.default_rng(seed)
+        self._plants = plants
+
+    def standard_normal(self, size=None, out=None):
+        z = self._gen.standard_normal(size, out=out)
+        rows = z.reshape(-1, z.shape[-1])
+        for at, kind in self._plants:
+            row = rows[at % len(rows)]
+            if kind == "zero":
+                np.copysign(0.0, row, out=row)
+            else:
+                row *= kind
+        return z
+
+    def random(self, size=None, out=None):
+        return self._gen.random(size, out=out)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dist=st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized"]),
+    d=st.integers(1, 12),
+    n=st.integers(1, 64),
+    rounds=st.none() | st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    plants=st.lists(
+        st.tuples(st.integers(0, 255), st.sampled_from(["zero", 1e-300, 1e150])), max_size=4
+    ),
+)
+def test_context_draw_matches_the_frozen_draw_bit_for_bit(dist, d, n, rounds, seed, plants):
+    with np.errstate(all="ignore"):  # a row planted twice at 1e150 overflows its norm
+        got = sample_context_batch(_PlantingGenerator(seed, plants), dist, n, d, rounds=rounds)
+        want = reference_sample_context_batch(_PlantingGenerator(seed, plants), dist, n, d, rounds)
+    premise = (
+        f"NumPy adds a row of d < {PAIRWISE_BLOCK} left to right" if d < PAIRWISE_BLOCK
+        else "the broadcast path repeats the frozen operations"
+    )
+    assert (got.dtype, got.shape) == (want.dtype, want.shape)
+    assert got.tobytes() == want.tobytes(), (
+        f"{dist} draw at d={d} differs from the frozen draw: the premise "
+        f"'{premise}' fails under NumPy {np.__version__}"
+    )
 
 
 @pytest.mark.parametrize("dist", ["uniform_ball", "sphere", "gaussian_normalized", "fixed"])

@@ -356,6 +356,16 @@ def test_derived_tau_exceeding_horizon_is_an_error():
         resolve_policy_config(spec, "ucb-glm")
 
 
+@pytest.mark.parametrize("tau", [None, 0, 1])
+def test_supcb_glm_at_a_one_round_horizon_is_rejected_when_parsed(tau):
+    # SupCB-GLM's stages need T >= 2: parsing says so before any run starts.
+    raw = dict(T=1, d=1, K=2, link="identity", noise="gaussian", sigma=0.1,
+               algorithms=["uniform", "supcb-glm"], tau=tau)
+    with pytest.raises(InvalidConfigError, match="supcb-glm needs T >= 2"):
+        ExperimentSpec.from_dict(raw)
+    assert ExperimentSpec.from_dict({**raw, "algorithms": ["uniform"]}).T == 1
+
+
 def test_uniform_on_fixed_basis_contexts_half_regret():
     spec = ExperimentSpec.from_dict(
         dict(
@@ -736,14 +746,15 @@ def tape_cases(draw, many: bool = False):
     dist = draw(st.sampled_from(["uniform_ball", "sphere", "gaussian_normalized", "fixed"]))
     d = draw(st.integers(1, 4))
     K = draw(st.integers(d, 6))
-    T = draw(st.integers(1, 40))
+    algorithms = draw(st.lists(
+        st.sampled_from(["uniform", "oracle", "ucb-glm", "epsilon-greedy", "supcb-glm"]
+                        + (["greedy"] if many else [])),
+        min_size=2 if many else 1, max_size=6 if many else 1, unique=True,
+    ))
+    # SupCB-GLM's stages need T >= 2, which parsing checks.
+    T = draw(st.integers(2 if "supcb-glm" in algorithms else 1, 40))
     raw = dict(
-        T=T, d=d, K=K, link=link, noise=noise, context_dist=dist,
-        algorithms=draw(st.lists(
-            st.sampled_from(["uniform", "oracle", "ucb-glm", "epsilon-greedy", "supcb-glm"]
-                            + (["greedy"] if many else [])),
-            min_size=2 if many else 1, max_size=6 if many else 1, unique=True,
-        )),
+        T=T, d=d, K=K, link=link, noise=noise, context_dist=dist, algorithms=algorithms,
         tau=min(T, draw(st.integers(0, 3 * d))),
         record_every=draw(st.integers(1, 7)),
         master_seed=draw(st.integers(0, 2**20)),
@@ -764,8 +775,6 @@ def tape_cases(draw, many: bool = False):
 def test_chunked_simulate_matches_the_per_round_loop(case):
     spec, budget, recorder = case
     algorithm = spec.algorithms[0]
-    if base_algorithm(algorithm) == "supcb-glm" and spec.T < 2:
-        return
     want = _play_reference(spec, algorithm, recorder)
     with mock.patch.object(harness, "CHUNK_ELEMENTS", budget):
         got = _play(spec, algorithm, recorder)
@@ -776,8 +785,6 @@ def test_chunked_simulate_matches_the_per_round_loop(case):
 @given(tape_cases(many=True))
 def test_each_algorithm_of_a_shared_world_plays_as_if_alone(case):
     spec, budget, recorder = case
-    if "supcb-glm" in spec.algorithms and spec.T < 2:
-        return
     with mock.patch.object(harness, "CHUNK_ELEMENTS", budget):
         together = _play_all(spec, spec.algorithms, recorder)
         alone = {name: _play(spec, name, recorder) for name in spec.algorithms}
