@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from . import rng as streams
 from .errors import InvalidConfigError
@@ -163,7 +162,10 @@ def second_moment_min_eig(
     By radial symmetry the first three distributions have E[X X'] = c I:
     c = 1/(d+2) for the uniform ball, 1/d for the sphere, and for the
     clipped N(0, I/d) draw c = [P(chi2_{d+2} <= d) + P(chi2_d > d)] / d
-    (split E[min(|Z|^2, 1)] at the clipping boundary).
+    (split E[min(|Z|^2, 1)] at the clipping boundary).  That case alone
+    needs SciPy, so it imports ``scipy.special`` when it runs: chdtr and
+    chdtrc are the functions that ``scipy.stats.chi2.cdf`` and ``.sf``
+    evaluate, and importing them costs a fraction of ``scipy.stats``.
     """
     _check_context_dist(dist, fixed_contexts)
     if dist == "uniform_ball":
@@ -171,7 +173,9 @@ def second_moment_min_eig(
     if dist == "sphere":
         return 1.0 / d
     if dist == "gaussian_normalized":
-        return float(chi2.cdf(d, d + 2) + chi2.sf(d, d)) / d
+        from scipy.special import chdtr, chdtrc
+
+        return float(chdtr(d + 2, d) + chdtrc(d, d)) / d
     gram = fixed_contexts.T @ fixed_contexts / fixed_contexts.shape[0]
     return float(np.linalg.eigvalsh(gram)[0])
 

@@ -18,7 +18,6 @@ import numbers
 import os
 import typing
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -570,6 +569,10 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     if workers <= 1 or len(reps) <= 1:
         results = list(map(run_replication, *units))
     else:
+        # Imported here: the pool's modules would cost every import of the
+        # package, and a one-worker run never needs them.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(reps))) as pool:
             results = list(pool.map(run_replication, *units))
     traces = [tr for result in results for tr in result.values()]

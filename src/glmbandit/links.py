@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import InvalidConfigError
 
@@ -78,6 +77,14 @@ def _logistic_ddot(z):
     return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
+def _probit_mu(z):
+    # SciPy is imported here, on first use, so that importing the package
+    # does not load it: only the probit link needs ndtr.
+    from scipy.special import ndtr
+
+    return ndtr(np.asarray(z, dtype=float))
+
+
 def _probit_ddot(z):
     z = np.asarray(z, dtype=float)
     return -z * _normal_pdf(z)
@@ -107,7 +114,7 @@ LOGISTIC = LinkFunction(
 # at |z| = 1.
 PROBIT = LinkFunction(
     kind="probit",
-    mu=lambda z: ndtr(np.asarray(z, dtype=float)),
+    mu=_probit_mu,
     mu_dot=_normal_pdf,
     mu_ddot=_probit_ddot,
     lipschitz_bound=1.0 / _SQRT_2PI,

@@ -69,6 +69,16 @@ def test_second_moment_min_eig_matches_monte_carlo(dist, d):
     assert second_moment_min_eig(dist, d) == pytest.approx(lam_min, rel=0.05)
 
 
+def test_gaussian_normalized_second_moment_matches_chi2():
+    # The clipped-Gaussian constant, bit for bit the scipy.stats expression
+    # it was first written as.
+    from scipy.stats import chi2
+
+    for d in range(1, 65):
+        expected = float(chi2.cdf(d, d + 2) + chi2.sf(d, d)) / d
+        assert second_moment_min_eig("gaussian_normalized", d) == expected, d
+
+
 def test_fixed_context_distribution():
     fixed = np.array([[1.0, 0.0], [0.0, 1.0]])
     env = _env(

@@ -140,3 +140,26 @@ def test_sigmoid_matches_reference_on_arrays(z, stride):
         view = z[..., ::stride]
         assert same_bits(LOGISTIC.mu(view), reference_sigmoid(view))
     assert same_bits(LOGISTIC.mu(z.tolist()), reference_sigmoid(z.tolist()))
+
+
+PROBIT_EDGES = [0.0, -0.0, np.inf, -np.inf, np.nan, 40.0, -40.0, 8.3, -8.3, 1e-300]
+
+
+@pytest.mark.parametrize("z", PROBIT_EDGES)
+def test_probit_mu_matches_ndtr_on_scalars(z):
+    # PROBIT.mu loads SciPy on first use; its values are ndtr's, bit for bit.
+    from scipy.special import ndtr
+
+    # Environment.mean_reward passes a Python float and reads back a scalar.
+    assert type(PROBIT.mu(z)) is np.float64
+    assert same_bits(PROBIT.mu(z), ndtr(np.asarray(z, dtype=float)))
+    assert same_bits(PROBIT.mu(np.array(z)), ndtr(np.array(z)))
+
+
+def test_probit_mu_matches_ndtr_on_arrays():
+    from scipy.special import ndtr
+
+    edges = np.array(PROBIT_EDGES)
+    for z in (edges, np.stack([edges, -edges, edges * 0.1])):
+        assert same_bits(PROBIT.mu(z), ndtr(z))
+        assert same_bits(PROBIT.mu(z.tolist()), ndtr(z))
