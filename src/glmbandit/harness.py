@@ -439,14 +439,13 @@ def build_environment(spec: ExperimentSpec, replication: int) -> Environment:
     )
 
 
-def run_replication(
-    spec: ExperimentSpec, replication: int, algorithms: tuple[str, ...]
-) -> dict[str, RegretTrace]:
-    """Play ``algorithms`` in one replication's world; each policy draws
-    from its own fresh policy stream."""
-    env = build_environment(spec, replication)
+def make_policies(
+    spec: ExperimentSpec, replication: int, algorithms: tuple[str, ...], env: Environment
+) -> dict[str, BasePolicy]:
+    """One policy per label in ``algorithms`` for ``env``, the world of
+    ``replication``; each draws from its own fresh policy stream."""
     link = get_link(spec.link)
-    policies = {
+    return {
         algorithm: make_policy(
             base_algorithm(algorithm),
             resolve_policy_config(spec, algorithm),
@@ -456,21 +455,45 @@ def run_replication(
         )
         for algorithm in algorithms
     }
+
+
+def run_replication(
+    spec: ExperimentSpec, replication: int, algorithms: tuple[str, ...]
+) -> dict[str, RegretTrace]:
+    """Play ``algorithms`` in one replication's world."""
+    env = build_environment(spec, replication)
+    policies = make_policies(spec, replication, algorithms, env)
     return simulate(env, policies, spec.T, spec.record_every, replication)
 
 
-def worker_count(spec: ExperimentSpec) -> int:
+def worker_count() -> int:
+    """The worker bound that GLM_BANDIT_THREADS sets (default: one per CPU)."""
     raw = os.environ.get(THREADS_ENV_VAR)
     if raw is None:
-        workers = os.cpu_count() or 1
-    else:
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise InvalidConfigError(f"{THREADS_ENV_VAR} must be an integer") from None
-        if workers < 1:
-            raise InvalidConfigError(f"{THREADS_ENV_VAR} must be at least 1")
-    return min(workers, len(spec.algorithms) * spec.replications)
+        return os.cpu_count() or 1
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise InvalidConfigError(f"{THREADS_ENV_VAR} must be an integer") from None
+    if workers < 1:
+        raise InvalidConfigError(f"{THREADS_ENV_VAR} must be at least 1")
+    return workers
+
+
+def map_units(fn: Callable, *units) -> list:
+    """``list(map(fn, *units))`` for equal-length sequences ``units``: the
+    results in unit order. When ``worker_count()`` and the number of units
+    both exceed 1, the units run in a process pool, so ``fn`` and the units
+    must pickle (module-level functions or ``functools.partial``s of them)."""
+    workers = min(worker_count(), len(units[0]))
+    if workers <= 1:
+        return list(map(fn, *units))
+    # Imported here: the pool's modules would cost every import of the
+    # package, and a one-worker run never needs them.
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *units))
 
 
 @dataclass
@@ -562,19 +585,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     same world.
     """
     spec.validate()
-    workers = worker_count(spec)
-    groups = algorithm_groups(spec.algorithms, -(-workers // spec.replications))
+    groups = algorithm_groups(spec.algorithms, -(-worker_count() // spec.replications))
     reps = [rep for rep in range(spec.replications) for _ in groups]
-    units = ([spec] * len(reps), reps, groups * spec.replications)
-    if workers <= 1 or len(reps) <= 1:
-        results = list(map(run_replication, *units))
-    else:
-        # Imported here: the pool's modules would cost every import of the
-        # package, and a one-worker run never needs them.
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(reps))) as pool:
-            results = list(pool.map(run_replication, *units))
+    results = map_units(run_replication, [spec] * len(reps), reps, groups * spec.replications)
     traces = [tr for result in results for tr in result.values()]
     # Deterministic order regardless of how the pool scheduled the units.
     order = {name: i for i, name in enumerate(spec.algorithms)}

@@ -4,7 +4,9 @@ Each check replays the generative model many times, evaluates the claimed
 inequality on every replication, and reports the empirical hit rate next
 to the nominal level.  Every replication's theta*, contexts and rewards
 come from that replication's ``Environment``, the world model the bandit
-runs play, so a world the environment rejects is never checked.
+runs play, so a world the environment rejects is never checked; prop1,
+which needs only contexts, draws them from the replication's
+``rng.CONTEXTS`` stream.
 Over-coverage always counts as a pass (the guarantees are one-sided); the
 standard acceptance slack is three binomial standard errors.  A finite
 probe over directions or replications can only falsify, never certify, a
@@ -13,8 +15,9 @@ for-all statement, so reports record exactly what was probed.
 
 from __future__ import annotations
 
+import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,13 +36,16 @@ from .harness import (
     ExperimentSpec,
     build_environment,
     check_spec_types,
+    make_policies,
+    map_units,
     resolve_policy_config,
     simulate,
     spec_from_dict,
+    worker_count,
 )
 from .links import LinkFunction, compute_kappa
 from .mle import mle_fit
-from .policies import UcbGlmPolicy, check_config
+from .policies import check_config
 
 
 @dataclass
@@ -140,15 +146,39 @@ def normality_condition_threshold(
     return 16.0 * sigma**2 * (d + math.log(1.0 / delta)) / kappa**2
 
 
-def _replication_logs(
-    n: int, replications: int, master_seed: int, **world
-) -> Iterator[tuple[Environment, np.ndarray, np.ndarray, np.ndarray]]:
-    """Each replication's world, built from ``Environment.build``'s keywords
-    in ``world``, and its n-row log ``(env, xs, ys, eps)``."""
-    for rep in range(replications):
+def _map_blocks(block: Callable[[range], list], replications: int) -> list:
+    """``block``'s results for ``range(replications)`` cut into one contiguous
+    block per worker, joined in order. A unit per replication would free each
+    log before the next draw, and the heap would be trimmed and faulted back."""
+    count = max(1, min(worker_count(), replications))
+    cuts = [replications * i // count for i in range(count + 1)]
+    blocks = map_units(block, [range(a, b) for a, b in zip(cuts, cuts[1:])])
+    return [item for part in blocks for item in part]
+
+
+def _theorem1_block(
+    n: int, master_seed: int, delta: float, directions: np.ndarray, reps: range, **world
+) -> list[tuple[bool, bool | None]]:
+    """Per replication: (design condition held, hit or None if the MLE failed)."""
+    link, d, sig = world["link"], world["d"], world["sigma"]
+    outcomes = []
+    for rep in reps:
         # sample_log draws no arm set, so one arm stands in for K.
         env = Environment.build(K=1, master_seed=master_seed, replication=rep, **world)
-        yield (env, *env.sample_log(n))
+        xs, ys, _ = env.sample_log(n)
+        kappa = compute_kappa(link, float(np.linalg.norm(env.theta_star)))
+        v = xs.T @ xs
+        lam = min_eigenvalue(v)
+        met = lam >= normality_condition_threshold(link, d, sig, delta, kappa)
+        result = mle_fit(link, xs, ys)
+        if not result.converged:
+            outcomes.append((met, None))
+            continue
+        gaps = np.abs(directions @ (result.theta - env.theta_star))
+        widths = weighted_norms(directions, np.linalg.inv(v))
+        bound = (3.0 * sig / kappa) * math.sqrt(math.log(1.0 / delta)) * widths
+        outcomes.append((met, bool((gaps <= bound + 1e-12).all())))
+    return outcomes
 
 
 def theorem1_coverage(
@@ -180,35 +210,18 @@ def theorem1_coverage(
         raise InvalidConfigError("theorem1 check needs n >= d")
     sig = sub_gaussian_sigma(noise, sigma)
     directions = np.asarray(directions, dtype=float)
-    hits = 0
-    nonconvergent = 0
-    hit_flags: list[bool] = []
-    condition_all = True
-    logs = _replication_logs(
-        n, replications, master_seed, d=d, link=link, noise=noise, sigma=sig,
-        context_dist=context_dist, theta_norm=theta_norm, theta_star=theta_star,
+    block = functools.partial(
+        _theorem1_block, n, master_seed, delta, directions, d=d, link=link, noise=noise,
+        sigma=sig, context_dist=context_dist, theta_norm=theta_norm, theta_star=theta_star,
     )
-    for env, xs, ys, _ in logs:
-        kappa = compute_kappa(link, float(np.linalg.norm(env.theta_star)))
-        v = xs.T @ xs
-        lam = min_eigenvalue(v)
-        condition_all &= lam >= normality_condition_threshold(link, d, sig, delta, kappa)
-        result = mle_fit(link, xs, ys)
-        if not result.converged:
-            nonconvergent += 1
-            continue
-        gaps = np.abs(directions @ (result.theta - env.theta_star))
-        widths = weighted_norms(directions, np.linalg.inv(v))
-        bound = (3.0 * sig / kappa) * math.sqrt(math.log(1.0 / delta)) * widths
-        ok = bool((gaps <= bound + 1e-12).all())
-        hit_flags.append(ok)
-        hits += ok
+    outcomes = _map_blocks(block, replications)
+    hit_flags = [hit for _, hit in outcomes if hit is not None]
     return CoverageReport(
-        replications=replications - nonconvergent,
-        hits=hits,
+        replications=len(hit_flags),
+        hits=sum(hit_flags),
         nominal=1.0 - 3.0 * delta,
-        condition_satisfied=condition_all,
-        nonconvergent=nonconvergent,
+        condition_satisfied=all(met for met, _ in outcomes),
+        nonconvergent=replications - len(hit_flags),
         hit_flags=hit_flags,
         details={
             "check": "theorem1",
@@ -244,6 +257,24 @@ class GrowthReport:
         }
 
 
+def _prop1_block(
+    context_dist: str, d: int, n_grid: list[int], master_seed: int, reps: range
+) -> np.ndarray:
+    """lambda_min(V_n)/n per replication (row) and grid point (column)."""
+    ratios = np.empty((len(reps), len(n_grid)))
+    for i, rep in enumerate(reps):
+        gen = streams.stream(master_seed, rep, streams.CONTEXTS)
+        xs = sample_context_batch(gen, context_dist, n_grid[-1], d)
+        v = np.zeros((d, d))
+        start = 0
+        for j, n in enumerate(n_grid):
+            chunk = xs[start:n]
+            v += chunk.T @ chunk
+            start = n
+            ratios[i, j] = min_eigenvalue(v) / n
+    return ratios
+
+
 def proposition1_growth(
     context_dist: str,
     d: int,
@@ -259,17 +290,8 @@ def proposition1_growth(
     """
     check_config(n_grid=n_grid)
     target = second_moment_min_eig(context_dist, d)
-    ratios = np.empty((replications, len(n_grid)))
-    for rep in range(replications):
-        gen = streams.stream(master_seed, rep, streams.CONTEXTS)
-        xs = sample_context_batch(gen, context_dist, n_grid[-1], d)
-        v = np.zeros((d, d))
-        start = 0
-        for j, n in enumerate(n_grid):
-            chunk = xs[start:n]
-            v += chunk.T @ chunk
-            start = n
-            ratios[rep, j] = min_eigenvalue(v) / n
+    block = functools.partial(_prop1_block, context_dist, d, n_grid, master_seed)
+    ratios = np.array(_map_blocks(block, replications))
     qs = {
         q: [float(np.quantile(ratios[:, j], float(q))) for j in range(len(n_grid))]
         for q in ("0.1", "0.25", "0.5", "0.75", "0.9")
@@ -297,6 +319,38 @@ class UcbRunStats:
     delta_vt_norms: np.ndarray  # |theta_hat_t - theta*|_{V_t} per round
     chosen_widths: np.ndarray  # |X_t|_{V_t^{-1}} per round
     n_nonconverged: int
+
+
+def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
+    """One instrumented UCB-GLM run per replication in ``reps``."""
+    runs = []
+    for rep in reps:
+        env = build_environment(spec, rep)
+        policy = make_policies(spec, rep, ("ucb-glm",), env)["ucb-glm"]
+        config, fit = policy.config, policy.fit
+        ts, delta_norms, widths = [], [], []
+
+        def observe(label: str, t: int, x: np.ndarray) -> None:
+            if t > config.tau:
+                ts.append(t)
+                delta_norms.append(weighted_norm(fit.theta - env.theta_star, fit.design.V))
+                widths.append(weighted_norm(x, fit.design.inverse()))
+
+        # Only round T enters the trace; the observer keeps what the checks need.
+        simulate(env, {"ucb-glm": policy}, spec.T, record_every=spec.T, observe=observe)
+        runs.append(
+            UcbRunStats(
+                d=spec.d,
+                tau=config.tau,
+                kappa=config.kappa,
+                lambda_min_init=float(policy.lambda_min_init),
+                ts=np.array(ts, dtype=int),
+                delta_vt_norms=np.array(delta_norms),
+                chosen_widths=np.array(widths),
+                n_nonconverged=policy.n_nonconverged,
+            )
+        )
+    return runs
 
 
 def run_ucb_glm_instrumented(
@@ -328,34 +382,7 @@ def run_ucb_glm_instrumented(
     config = resolve_policy_config(spec, "ucb-glm")
     if config.tau >= T:
         raise InvalidConfigError(f"tau={config.tau} leaves no rounds below T={T}")
-    runs = []
-    for rep in range(replications):
-        env = build_environment(spec, rep)
-        policy = UcbGlmPolicy(config, link, streams.stream(master_seed, rep, streams.POLICY))
-        fit = policy.fit
-        ts, delta_norms, widths = [], [], []
-
-        def observe(label: str, t: int, x: np.ndarray) -> None:
-            if t > config.tau:
-                ts.append(t)
-                delta_norms.append(weighted_norm(fit.theta - env.theta_star, fit.design.V))
-                widths.append(weighted_norm(x, fit.design.inverse()))
-
-        # Only round T enters the trace; the observer keeps what the checks need.
-        simulate(env, {"ucb-glm": policy}, T, record_every=T, observe=observe)
-        runs.append(
-            UcbRunStats(
-                d=d,
-                tau=config.tau,
-                kappa=config.kappa,
-                lambda_min_init=float(policy.lambda_min_init),
-                ts=np.array(ts, dtype=int),
-                delta_vt_norms=np.array(delta_norms),
-                chosen_widths=np.array(widths),
-                n_nonconverged=policy.n_nonconverged,
-            )
-        )
-    return runs
+    return _map_blocks(functools.partial(_ucb_glm_block, spec), replications)
 
 
 def estimate_ellipsoid_bound(d: int, t: int, sigma: float, kappa: float, delta: float) -> float:
@@ -439,6 +466,19 @@ def width_sum_check(runs: list[UcbRunStats]) -> WidthSumReport:
     return WidthSumReport(runs_checked=checked, runs_skipped=skipped, violations=violations)
 
 
+def _znorm_block(n: int, master_seed: int, bound: float, reps: range, **world) -> list[bool]:
+    """Per replication: whether |Z|_{V^{-1}} stayed within ``bound``."""
+    hit_flags = []
+    for rep in reps:
+        env = Environment.build(K=1, master_seed=master_seed, replication=rep, **world)
+        xs, _, eps = env.sample_log(n)
+        v = xs.T @ xs
+        z = xs.T @ eps
+        norm = weighted_norm(z, np.linalg.inv(v))
+        hit_flags.append(bool(norm <= bound + 1e-12))
+    return hit_flags
+
+
 def znorm_bound_check(
     link: LinkFunction,
     d: int,
@@ -458,23 +498,15 @@ def znorm_bound_check(
     if n < d:
         raise InvalidConfigError("znorm check needs n >= d")
     sig = sub_gaussian_sigma(noise, sigma)
-    hits = 0
-    hit_flags = []
     bound = 4.0 * sig * math.sqrt(d + math.log(1.0 / delta))
-    logs = _replication_logs(
-        n, replications, master_seed, d=d, link=link, noise=noise, sigma=sig,
+    block = functools.partial(
+        _znorm_block, n, master_seed, bound, d=d, link=link, noise=noise, sigma=sig,
         context_dist=context_dist, theta_norm=theta_norm, theta_star=theta_star,
     )
-    for _, xs, _, eps in logs:
-        v = xs.T @ xs
-        z = xs.T @ eps
-        norm = weighted_norm(z, np.linalg.inv(v))
-        ok = bool(norm <= bound + 1e-12)
-        hit_flags.append(ok)
-        hits += ok
+    hit_flags = _map_blocks(block, replications)
     return CoverageReport(
         replications=replications,
-        hits=hits,
+        hits=sum(hit_flags),
         nominal=1.0 - delta,
         condition_satisfied=True,
         hit_flags=hit_flags,

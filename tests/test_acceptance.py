@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; the whole suite is a few minutes of wall time on one core.
 """
 
+import functools
 import math
 import os
 import time
@@ -16,12 +17,13 @@ from glmbandit.harness import (
     ExperimentSpec,
     build_environment,
     emit_csv,
+    make_policies,
+    map_units,
     resolve_policy_config,
     run_experiment,
     simulate,
 )
 from glmbandit.links import IDENTITY, LOGISTIC, compute_kappa, get_link
-from glmbandit.policies import make_policy
 from glmbandit.validation import (
     lemma4_event_coverage,
     probe_directions,
@@ -30,7 +32,6 @@ from glmbandit.validation import (
     theorem1_coverage,
     width_sum_check,
 )
-from glmbandit import rng as streams
 
 from oracles import (
     SupCbRounds,
@@ -71,7 +72,7 @@ def test_criterion_1_mle_oracle_equivalence():
     )
 
 
-def test_criterion_2_sherman_morrison_consistency():
+def test_criterion_2_inverse_consistency():
     gen = np.random.default_rng(1002)
     state = DesignState(10)
     for _ in range(20):
@@ -171,6 +172,28 @@ def test_criterion_6_sublinear_regret():
     )
 
 
+def supcb_partition_and_finals(spec, rep):
+    """Criterion 7's replication ``rep``: whether SupCB-GLM's rounds
+    partitioned 1..T as they were played, and both policies' final regret."""
+    env = build_environment(spec, rep)
+    policies = make_policies(spec, rep, ("supcb-glm", "ucb-glm"), env)
+    rounds = SupCbRounds(policies["supcb-glm"])
+    partitioned = True
+
+    def observe(label, t, x):
+        nonlocal partitioned
+        # observe runs before update, so rounds 1..t-1 are filed.
+        if label == "supcb-glm" and rounds.count() != t - 1:
+            partitioned = False
+
+    traces = simulate(env, policies, spec.T, spec.record_every, rep, observe)
+    return (
+        partitioned and partition_ok(rounds, spec.T),
+        float(traces["supcb-glm"].cum_regret[-1]),
+        float(traces["ucb-glm"].cum_regret[-1]),
+    )
+
+
 def test_criterion_7_supcb_structure_and_band():
     spec = ExperimentSpec.from_dict(
         dict(
@@ -179,31 +202,9 @@ def test_criterion_7_supcb_structure_and_band():
             record_every=500,
         )
     )
-    link = get_link(spec.link)
-    partitioned = True
-    sup_finals, ucb_finals = [], []
-    for rep in range(spec.replications):
-        env = build_environment(spec, rep)
-        policies = {
-            name: make_policy(
-                name, resolve_policy_config(spec, name), link,
-                streams.stream(spec.master_seed, rep, streams.POLICY), env.theta_star,
-            )
-            for name in ("supcb-glm", "ucb-glm")
-        }
-        rounds = SupCbRounds(policies["supcb-glm"])
-
-        def observe(label, t, x):
-            nonlocal partitioned
-            # observe runs before update, so rounds 1..t-1 are filed.
-            if label == "supcb-glm" and rounds.count() != t - 1:
-                partitioned = False
-
-        traces = simulate(env, policies, spec.T, spec.record_every, rep, observe)
-        if not partition_ok(rounds, spec.T):
-            partitioned = False
-        sup_finals.append(float(traces["supcb-glm"].cum_regret[-1]))
-        ucb_finals.append(float(traces["ucb-glm"].cum_regret[-1]))
+    unit = functools.partial(supcb_partition_and_finals, spec)
+    verdicts, sup_finals, ucb_finals = zip(*map_units(unit, range(spec.replications)))
+    partitioned = all(verdicts)
     sup_mean = float(np.mean(sup_finals))
     ucb_mean = float(np.mean(ucb_finals))
     within_band = sup_mean <= 3.0 * ucb_mean

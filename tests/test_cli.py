@@ -251,6 +251,37 @@ def test_validate_lemma4_checks_with_the_runs_kappa(tmp_path, monkeypatch):
     assert seen["kappa"] == compute_kappa(LOGISTIC, 2.0)
 
 
+# Every check accepts it; its 7 replications split unevenly into 2 or 3 blocks.
+SMALL_VALIDATION = dict(
+    link="logistic", noise="bernoulli", d=2, n=120, K=3, T=80, tau=15, delta=0.05,
+    replications=7, master_seed=5, n_grid=[20, 60, 120], n_random_directions=10,
+)
+
+
+@pytest.mark.parametrize("check", cli.VALIDATION_CHECKS)
+def test_validate_reports_do_not_depend_on_worker_count(tmp_path, monkeypatch, check):
+    cfg = write_json(tmp_path / "val.json", SMALL_VALIDATION)
+    reports = {}
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("GLM_BANDIT_THREADS", workers)
+        out = tmp_path / f"workers_{workers}"
+        assert cli_main(["validate", "--check", check, "--config", cfg, "--out", str(out)]) == 0
+        reports[workers] = (out / f"{check}_report.json").read_bytes()
+    assert reports["2"] == reports["1"]
+    assert reports["3"] == reports["1"]
+
+
+@pytest.mark.parametrize("value", ["0", "x"])
+@pytest.mark.parametrize("check", cli.VALIDATION_CHECKS)
+def test_validate_rejects_a_bad_threads_setting(tmp_path, monkeypatch, capsys, check, value):
+    monkeypatch.setenv("GLM_BANDIT_THREADS", value)
+    cfg = write_json(tmp_path / "val.json", SMALL_VALIDATION)
+    out = tmp_path / "reports"
+    assert cli_main(["validate", "--check", check, "--config", cfg, "--out", str(out)]) == 1
+    assert "GLM_BANDIT_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "overrides",
     [{"sigma": float("nan")}, {"d": "3"}, {"delta": 2.0}, {"replications": 0},

@@ -557,17 +557,16 @@ def test_meta_echoes_derived_quantities(tmp_path):
 def test_threads_env_var_validation(monkeypatch):
     from glmbandit.harness import worker_count
 
-    spec = base_spec()
     monkeypatch.setenv("GLM_BANDIT_THREADS", "not-a-number")
     with pytest.raises(InvalidConfigError):
-        worker_count(spec)
+        worker_count()
     monkeypatch.setenv("GLM_BANDIT_THREADS", "0")
     with pytest.raises(InvalidConfigError):
-        worker_count(spec)
+        worker_count()
     monkeypatch.setenv("GLM_BANDIT_THREADS", "3")
-    assert worker_count(spec) == 3
+    assert worker_count() == 3
     monkeypatch.delenv("GLM_BANDIT_THREADS")
-    assert worker_count(spec) >= 1
+    assert worker_count() >= 1
 
 
 def test_summary_header_and_row_count(tmp_path):

@@ -30,8 +30,14 @@ def test_logistic_run_and_check_load_no_scipy_and_no_pool():
 
         import glmbandit, glmbandit.cli
         from glmbandit.harness import ExperimentSpec, run_experiment
-        from glmbandit.links import LOGISTIC
-        from glmbandit.validation import probe_directions, theorem1_coverage
+        from glmbandit.links import IDENTITY, LOGISTIC
+        from glmbandit.validation import (
+            probe_directions,
+            proposition1_growth,
+            run_ucb_glm_instrumented,
+            theorem1_coverage,
+            znorm_bound_check,
+        )
 
         spec = ExperimentSpec.from_dict({
             "T": 60, "d": 2, "K": 3, "link": "logistic", "noise": "bernoulli",
@@ -43,6 +49,10 @@ def test_logistic_run_and_check_load_no_scipy_and_no_pool():
             LOGISTIC, 2, 200, sigma=None, delta=0.05, directions=probe_directions(2, 5),
             replications=3, noise="bernoulli", theta_star=np.array([0.5, 0.0]),
         )
+        # At one worker every check maps its replications in this process.
+        proposition1_growth("uniform_ball", 2, [20, 60], 3)
+        znorm_bound_check(IDENTITY, 2, 50, 0.1, 0.05, 3)
+        run_ucb_glm_instrumented(LOGISTIC, 2, 3, 40, 0.05, None, 3, noise="bernoulli", tau=10)
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert not loaded, loaded
         assert "concurrent.futures.process" not in sys.modules

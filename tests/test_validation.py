@@ -199,6 +199,25 @@ def test_instrumented_runs_match_reference_loop(args, kwargs):
             assert np.array_equal(getattr(run, f.name), getattr(ref, f.name)), f.name
 
 
+def test_replication_blocks_keep_replication_order(monkeypatch):
+    # 7 replications in 1, 2 and 3 blocks: every run's arrays differ, so a
+    # dropped or misordered block changes the list.
+    outcomes = {}
+    for workers in ("1", "2", "3"):
+        monkeypatch.setenv("GLM_BANDIT_THREADS", workers)
+        runs = run_ucb_glm_instrumented(
+            LOGISTIC, 2, 3, 80, 0.05, None, 7, noise="bernoulli", tau=15, master_seed=5
+        )
+        flags = theorem1_coverage(
+            IDENTITY, 2, 30, 0.5, 0.3, probe_directions(2, 10), 7, master_seed=5
+        ).hit_flags
+        outcomes[workers] = ([dataclasses.astuple(run) for run in runs], flags)
+    for workers in ("2", "3"):
+        for a, b in zip(outcomes[workers][0], outcomes["1"][0], strict=True):
+            assert all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+        assert outcomes[workers][1] == outcomes["1"][1]
+
+
 def test_instrumented_runs_need_rounds_after_tau():
     with pytest.raises(InvalidConfigError, match="tau"):
         run_ucb_glm_instrumented(IDENTITY, 2, 3, 50, 0.05, 0.1, 1, noise="gaussian", tau=50)
