@@ -6,6 +6,7 @@ import math
 from copy import deepcopy
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import NonPositiveDefiniteError, SingularDesignError
 
@@ -31,6 +32,23 @@ def weighted_norms(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.clip(q, 0.0, None))
 
 
+# solve and inv call the LAPACK gufuncs behind np.linalg.solve and np.linalg.inv
+# with the same signatures, so the same bits, without the wrappers that cost
+# more than the LAPACK work at a refit's d. A singular matrix then only warns
+# and comes back all NaN, so a non-finite first entry re-runs the public
+# function, which raises LinAlgError as before; callers check a floor first.
+def solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.linalg.solve(a, b)`` for a square float matrix and a vector."""
+    x = _umath_linalg.solve1(a, b, signature="dd->d")
+    return x if math.isfinite(x.item(0)) else np.linalg.solve(a, b)
+
+
+def inv(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.inv(a)`` for a square float matrix."""
+    x = _umath_linalg.inv(a, signature="d->d")
+    return x if math.isfinite(x.item(0)) else np.linalg.inv(a)
+
+
 def min_eigenvalue(a: np.ndarray) -> float:
     """Smallest eigenvalue of a symmetric matrix."""
     return float(np.linalg.eigvalsh(a)[0])
@@ -40,7 +58,7 @@ class DesignState:
     """Gram matrix V = sum of x x' over the absorbed observations, their log
     (x, y), and V's inverse.
 
-    The inverse is ``np.linalg.inv(V)`` of the current V, formed on request
+    The inverse is ``inv(V)`` of the current V, formed on request
     at most once per design size n and cached against n. Until V has first
     cleared the eigenvalue floor, a request (or ``clears_floor``) checks the
     floor and an inverse request raises SingularDesignError below it. After
@@ -105,7 +123,7 @@ class DesignState:
                     f"design matrix is singular after {self.n} observations; "
                     f"more initialization rounds (tau) would make it invertible"
                 )
-            self._v_inv = np.linalg.inv(self.V)
+            self._v_inv = inv(self.V)
             self._v_inv_n = self.n
         return self._v_inv
 

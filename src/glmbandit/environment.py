@@ -282,7 +282,10 @@ class Environment:
     def sample_reward(self, x: np.ndarray, noise: float) -> float:
         """The reward for the chosen feature vector, given the round's value
         from ``sample_noise``."""
-        return float(self.rewards(self.mean_reward(x), noise))
+        mean = self.mean_reward(x)
+        if self.noise == "bernoulli":  # ``rewards``' rule on plain floats
+            return float(float(noise) < mean)
+        return float(self.rewards(mean, noise))
 
     def sample_log(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n iid (context, reward) pairs plus the realized noise ``y - mean``.

@@ -23,8 +23,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     # Overflow-free form: exp is only ever applied to nonpositive arguments.
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
-        ez = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0, ez) / (1.0 + ez)
+        # The same IEEE operations in Python floats, one np.exp aside: the
+        # scalar calls (one per round, from Environment.mean_reward) skip
+        # the ufunc dispatch of the rest.
+        z = float(z)
+        ez = float(np.exp(-abs(z)))
+        return np.float64((1.0 if z >= 0 else ez) / (1.0 + ez))
     # The same formula with its temporaries reused. The numerator
     # where(z >= 0, 1, ez) is taken as max(ez, z >= 0): ez lies in [0, 1], so
     # both pick the same value (a NaN ez included), and max is a vector loop

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .design import min_eigenvalue
+from .design import min_eigenvalue, solve
 from .errors import SingularFisherError
 from .links import LinkFunction
 
@@ -169,7 +169,7 @@ def mle_fit(
                 raise SingularFisherError(
                     f"Fisher matrix singular at iteration {iterations} (n={n}, d={d})"
                 )
-        step = np.linalg.solve(fisher, score)
+        step = solve(fisher, score)
 
         (theta, z, mu, score), snorm = _line_search(link, xs, ys, theta, step, snorm)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as streams
-from .design import min_eigenvalue, weighted_norm, weighted_norms
+from .design import inv, min_eigenvalue, weighted_norm, weighted_norms
 from .environment import (
     Environment,
     check_world,
@@ -175,7 +175,7 @@ def _theorem1_block(
             outcomes.append((met, None))
             continue
         gaps = np.abs(directions @ (result.theta - env.theta_star))
-        widths = weighted_norms(directions, np.linalg.inv(v))
+        widths = weighted_norms(directions, inv(v))
         bound = (3.0 * sig / kappa) * math.sqrt(math.log(1.0 / delta)) * widths
         outcomes.append((met, bool((gaps <= bound + 1e-12).all())))
     return outcomes
@@ -474,7 +474,7 @@ def _znorm_block(n: int, master_seed: int, bound: float, reps: range, **world) -
         xs, _, eps = env.sample_log(n)
         v = xs.T @ xs
         z = xs.T @ eps
-        norm = weighted_norm(z, np.linalg.inv(v))
+        norm = weighted_norm(z, inv(v))
         hit_flags.append(bool(norm <= bound + 1e-12))
     return hit_flags
 

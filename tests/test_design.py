@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glmbandit import design
 from glmbandit.design import DesignState, min_eigenvalue, weighted_norm, weighted_norms
 from glmbandit.errors import NonPositiveDefiniteError, SingularDesignError
 
@@ -235,3 +238,77 @@ def test_inverse_is_exact_through_updates_and_copies_near_singularity(
         assert np.array_equal(state.inverse(), v_inv)
     bound = 4.0 * np.finfo(float).eps * d * np.linalg.cond(design.V)
     assert np.linalg.norm(design.V @ final - np.eye(d), 2) <= bound <= 1e-8
+
+
+def square_matrix(gen: np.random.Generator, d: int, kind: str, log_cond: float) -> np.ndarray:
+    """An SPD matrix with eigenvalues spread over ``10**log_cond``, or a
+    nonsymmetric Gaussian one."""
+    if kind == "nonsymmetric":
+        return gen.standard_normal((d, d))
+    basis = np.linalg.qr(gen.standard_normal((d, d)))[0]
+    eigs = 10.0 ** -np.linspace(0.0, log_cond, d)
+    return (basis * eigs) @ basis.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    d=st.integers(1, 8),
+    kind=st.sampled_from(("spd", "nonsymmetric")),
+    log_cond=st.floats(0.0, 1.0) | st.floats(8.0, 15.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_solve_and_inv_match_numpy_bit_for_bit(d, kind, log_cond, seed):
+    """design.solve and design.inv return np.linalg's bits, for
+    well-conditioned and ill-conditioned SPD matrices and, for solve,
+    nonsymmetric ones."""
+    gen = np.random.default_rng(seed)
+    a = square_matrix(gen, d, kind, log_cond)
+    b = gen.standard_normal(d)
+    assert np.array_equal(design.solve(a, b), np.linalg.solve(a, b))
+    if kind == "spd":
+        assert np.array_equal(design.inv(a), np.linalg.inv(a))
+
+
+@pytest.mark.parametrize(
+    "a", [np.zeros((1, 1)), np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones((5, 5))],
+    ids=["zero", "rank-one-2x2", "ones-5x5"],
+)
+def test_solve_and_inv_still_raise_on_an_exactly_singular_matrix(a):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # the raw gufunc's own warning
+        with pytest.raises(np.linalg.LinAlgError):
+            design.solve(a, np.ones(len(a)))
+        with pytest.raises(np.linalg.LinAlgError):
+            design.inv(a)
+
+
+def test_numpy_private_lapack_gufuncs_are_where_design_expects_them():
+    """design.solve and design.inv call NumPy-private gufuncs. If this fails
+    on a new NumPy, look up what np.linalg.solve (with a 1-D b) and
+    np.linalg.inv call now, and point the two helpers in glmbandit/design.py
+    at that, or back at the public functions."""
+    where = "numpy.linalg._umath_linalg"
+    gufuncs = getattr(np.linalg, "_umath_linalg", None)
+    assert gufuncs is not None, f"{where} is gone: re-point design.solve and design.inv"
+    a, b = np.array([[2.0, 1.0], [1.0, 3.0]]), np.array([1.0, 2.0])
+    for helper, name, core, signature, args in (
+        ("solve", "solve1", "(m,m),(m)->(m)", "dd->d", (a, b)),
+        ("inv", "inv", "(m,m)->(m,m)", "d->d", (a,)),
+    ):
+        gufunc = getattr(gufuncs, name, None)
+        fix = f"re-point design.{helper} at what np.linalg.{helper} calls now"
+        assert isinstance(gufunc, np.ufunc), f"{where}.{name} is gone: {fix}"
+        assert (gufunc.signature.replace(" ", ""), signature in gufunc.types) == (core, True), (
+            f"{where}.{name} is now {gufunc.signature} with loops {gufunc.types}: {fix}"
+        )
+        public = getattr(np.linalg, helper)(*args)
+        assert np.array_equal(gufunc(*args, signature=signature), public), (
+            f"{where}.{name}(signature={signature!r}) no longer gives np.linalg's bits: {fix}"
+        )
+        # The helpers recognise LAPACK's failure by a NaN first entry.
+        with np.errstate(invalid="ignore"):
+            failed = gufunc(*(np.zeros_like(x) for x in args), signature=signature)
+        assert np.isnan(failed).all(), (
+            f"{where}.{name} no longer fills a failed result with NaN: change the "
+            f"failure test in design.{helper}"
+        )

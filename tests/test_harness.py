@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -737,6 +738,31 @@ def _assert_same_run(got, want):
             assert a == b, f.name
     assert [t for t, _ in seen] == [t for t, _ in ref_seen]
     assert all(np.array_equal(x, y) for (_, x), (_, y) in zip(seen, ref_seen))
+
+
+def test_learners_refit_and_invert_without_numpy_linalg_wrappers(monkeypatch):
+    """The refit's Newton solves and the design inverses go through
+    design.solve and design.inv alone, and never fall back: a 300-round
+    logistic run with np.linalg.solve and np.linalg.inv made to raise, and
+    every warning an error, plays the same trace as a plain run."""
+    algorithms = ("ucb-glm", "supcb-glm", "epsilon-greedy")
+    spec = ExperimentSpec.from_dict(dict(
+        T=300, d=3, K=5, link="logistic", noise="bernoulli", context_dist="uniform_ball",
+        algorithms=list(algorithms), tau=10, replications=1, master_seed=7, record_every=1,
+    ))
+    plain = run_replication(spec, 0, algorithms)
+
+    def wrapper_called(*args, **kwargs):
+        raise AssertionError("a NumPy linalg wrapper ran on the hot path")
+
+    monkeypatch.setattr(np.linalg, "solve", wrapper_called)
+    monkeypatch.setattr(np.linalg, "inv", wrapper_called)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        guarded = run_replication(spec, 0, algorithms)
+    for label in algorithms:
+        assert guarded[label].mle_converged.all(), label
+        _assert_same_run((guarded[label], []), (plain[label], []))
 
 
 @st.composite
