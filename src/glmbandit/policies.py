@@ -7,6 +7,7 @@ a deterministic function of (config, seed, context stream).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -330,7 +331,7 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
 
 
 def stage_decision(
-    means: np.ndarray,
+    means: Callable[[], np.ndarray],
     widths: np.ndarray,
     active: list[int],
     s: int,
@@ -344,11 +345,15 @@ def stage_decision(
     ("advance", survivors) where survivors keep every arm within 2 * 2^{-s}
     of the best active mean.  The empirical leader always survives, so the
     active set never empties.
+
+    The explore rule reads only the widths, so ``means``, a zero-argument
+    callable giving the stage's mean estimates, is called only past it.
     """
     level = 2.0 ** (-s)
     wide = [a for a in active if widths[a] > level]
     if wide:
         return "explore", wide[0]
+    means = means()
     if all(widths[a] <= 1.0 / math.sqrt(T) for a in active):
         return "exploit", greedy_argmax(means, active)
     threshold = max(means[a] for a in active) - 2.0 * level
@@ -380,17 +385,22 @@ class SupCbGlmPolicy(BasePolicy):
         self._fits += [None] * self.S
         self._pending: int | None = None  # stage set receiving the round
 
-    def _stage_scores(self, s: int, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Means and widths at stage s, fitting on Psi_s united with F.
+    def _stage_scores(
+        self, s: int, contexts: np.ndarray
+    ) -> tuple[Callable[[], np.ndarray], np.ndarray]:
+        """Means and widths at stage s, the means as a callable that fits on
+        Psi_s united with F when called.
 
-        A stage scored for the first time starts its fit from a copy of F.
-        Raises SingularDesignError when the stage design is singular.
+        The widths read only the stage design, so a round that explores at
+        stage s never fits it.  A stage scored for the first time starts
+        its fit from a copy of F.  Raises SingularDesignError when the stage
+        design is singular.
         """
         fit = self._fits[s]
         if fit is None:
             fit = self._fits[s] = GlmFit(self.link, self._fits[0].design.copy())
-        v_inv = fit.design.inverse()
-        return ucb_scores(contexts, self._refit(fit), v_inv, self.config.alpha)
+        widths = self.config.alpha * weighted_norms(contexts, fit.design.inverse())
+        return (lambda: contexts @ self._refit(fit)), widths
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
@@ -413,10 +423,12 @@ class SupCbGlmPolicy(BasePolicy):
                 self.last_stage = s
                 return arm
             if kind == "exploit" or s == self.S:
-                # At the last stage the exploit action is forced: 2^{-S} is
-                # within a factor 2 of the 1/sqrt(T) cutoff, so the widths
-                # are already as tight as stage geometry can make them.
-                arm = payload if kind == "exploit" else greedy_argmax(means, active)
+                # The loop ends by the first s with 2^{-s} <= 1/sqrt(T): there
+                # every width either exceeds 2^{-s}, and its arm is explored,
+                # or is at most 1/sqrt(T), and the round exploits.  So s == S
+                # forces the exploit only with non-finite widths or a
+                # lowered cap.
+                arm = payload if kind == "exploit" else greedy_argmax(means(), active)
                 self._pending = 0
                 self.last_stage = s
                 return arm

@@ -12,7 +12,8 @@ scores, regret of one round, scalar reward draws, the SupCB-GLM round
 recorder and partition check, the inverse consistency error, the trace
 file reader), the instrumented UCB-GLM runner's own loop, the validation
 checks' own sampler, the harness's per-round simulation loop and the GLM
-learners as first written, each with its own refit, as references.
+learners as first written, each with its own refit, as references, with
+SupCB-GLM also in its first fit-every-stage order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr
 
-from glmbandit.design import DesignState, min_eigenvalue
+from glmbandit.design import DesignState, min_eigenvalue, weighted_norms
 from glmbandit.errors import InvalidConfigError, SingularDesignError
 from glmbandit.links import LinkFunction
 from glmbandit.mle import mle_fit
@@ -580,8 +581,9 @@ def reference_simulate(
 
 
 # The GLM learners as first written, each owning its own refit, and
-# SupCB-GLM with its initialization-design fallback: the bit-identity
-# references for the policies module's learners, which share one refit.
+# SupCB-GLM with its initialization-design fallback, in the widths-first
+# order and in its first fit-every-stage order: the bit-identity references
+# for the policies module's learners, which share one refit.
 
 
 class ReferenceGlmFitPolicy(BasePolicy):
@@ -672,7 +674,8 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
     stage sets Psi_0..Psi_S (S = floor(log2 T)).  Stage s fits only on
     Psi_s united with F, so within a stage the rewards used for fitting are
     conditionally independent of each other.  Exploitation rounds land in
-    Psi_0 and never feed any fit.
+    Psi_0 and never feed any fit.  Stage s is fit only when no active arm's
+    width exceeds 2^{-s}, since the explore rule reads the widths alone.
     """
 
     name = "supcb-glm"
@@ -699,37 +702,44 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
                 self.last_mle_converged = False
         return self._init_theta
 
-    def _stage_scores(self, s: int, contexts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Means and widths at stage s, fitting on Psi_s united with F.
-
-        If that design is singular the stage falls back to the
-        initialization rounds alone; if even those are singular the run
-        cannot continue.
-        """
-        design = self._stage_designs[s]
-        v_inv = _inverse_or_none(design)
+    def _stage_inverse(self, s: int) -> tuple[np.ndarray, bool]:
+        """V^{-1} of Psi_s united with F, and True; if that design is
+        singular, the initialization rounds' V^{-1} and False; if even
+        those are singular the run cannot continue."""
+        v_inv = _inverse_or_none(self._stage_designs[s])
         if v_inv is not None:
-            if self._stage_dirty[s]:
-                result = mle_fit(
-                    self.link,
-                    design.features,
-                    design.rewards,
-                    warm_start=self._stage_thetas[s],
-                )
-                self._stage_thetas[s] = result.theta
-                self._stage_dirty[s] = False
-                if not result.converged:
-                    self.n_nonconverged += 1
-                    self.last_mle_converged = False
-            theta = self._stage_thetas[s]
-        else:
-            v_inv = _inverse_or_none(self._init_design)
-            if v_inv is None:
-                raise SingularDesignError(
-                    f"stage {s} and initialization designs are both singular"
-                )
-            theta = self._init_fit()
-        return ucb_scores(contexts, theta, v_inv, self.config.alpha)
+            return v_inv, True
+        v_inv = _inverse_or_none(self._init_design)
+        if v_inv is None:
+            raise SingularDesignError(f"stage {s} and initialization designs are both singular")
+        return v_inv, False
+
+    def _stage_theta(self, s: int, own_design: bool) -> np.ndarray:
+        """The MLE on the design ``_stage_inverse`` chose, fit if stale."""
+        if not own_design:
+            return self._init_fit()
+        if self._stage_dirty[s]:
+            design = self._stage_designs[s]
+            result = mle_fit(
+                self.link,
+                design.features,
+                design.rewards,
+                warm_start=self._stage_thetas[s],
+            )
+            self._stage_thetas[s] = result.theta
+            self._stage_dirty[s] = False
+            if not result.converged:
+                self.n_nonconverged += 1
+                self.last_mle_converged = False
+        return self._stage_thetas[s]
+
+    def _stage_scores(self, s: int, contexts: np.ndarray):
+        """Means and widths at stage s.  The widths come from the design
+        alone, and the means, a callable, fit the stage only when called:
+        ``stage_decision`` calls them only when no active arm is wide."""
+        v_inv, own_design = self._stage_inverse(s)
+        widths = self.config.alpha * weighted_norms(contexts, v_inv)
+        return (lambda: contexts @ self._stage_theta(s, own_design)), widths
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
@@ -756,10 +766,8 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
                 self.last_stage = s
                 return arm
             if kind == "exploit" or s == self.S:
-                # At the last stage the exploit action is forced: 2^{-S} is
-                # within a factor 2 of the 1/sqrt(T) cutoff, so the widths
-                # are already as tight as stage geometry can make them.
-                arm = payload if kind == "exploit" else greedy_argmax(means, active)
+                # Forced at the last stage.
+                arm = payload if kind == "exploit" else greedy_argmax(means(), active)
                 self._pending = 0
                 self.last_stage = s
                 return arm
@@ -773,3 +781,18 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
             self._stage_designs[self._pending].update(x, y)
             self._stage_dirty[self._pending] = True
         self._pending = None
+
+
+class FitEveryStageSupCbGlmPolicy(ReferenceSupCbGlmPolicy):
+    """SupCB-GLM as first written: every stage it scores is fit before the
+    explore rule reads the widths, so a round that explores still pays for
+    the fit.  Its traces differ from the widths-first order only where a
+    skipped fit would have counted as non-converged or would have moved a
+    later fit's warm start."""
+
+    def _stage_scores(self, s: int, contexts: np.ndarray):
+        v_inv, own_design = self._stage_inverse(s)
+        means, widths = ucb_scores(
+            contexts, self._stage_theta(s, own_design), v_inv, self.config.alpha
+        )
+        return (lambda: means), widths

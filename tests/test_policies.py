@@ -10,8 +10,8 @@ from glmbandit import rng as streams
 from glmbandit.design import weighted_norm
 from glmbandit.environment import Environment
 from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
-from glmbandit.harness import simulate
-from glmbandit.links import IDENTITY, LOGISTIC, PROBIT
+from glmbandit.harness import ExperimentSpec, build_environment, resolve_policy_config, simulate
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, get_link
 from glmbandit.policies import (
     EpsilonGreedyPolicy,
     PolicyConfig,
@@ -29,6 +29,7 @@ from glmbandit.policies import (
 )
 
 from oracles import (
+    FitEveryStageSupCbGlmPolicy,
     ReferenceEpsilonGreedyPolicy,
     ReferenceSupCbGlmPolicy,
     ReferenceUcbGlmPolicy,
@@ -358,14 +359,14 @@ def test_cb_scores_error_cases():
 def test_stage_decision_exploit_when_widths_tiny():
     means = np.array([0.2, 0.9, 0.5])
     widths = np.full(3, 0.5 / math.sqrt(10_000))
-    kind, arm = stage_decision(means, widths, [0, 1, 2], 1, 10_000)
+    kind, arm = stage_decision(lambda: means, widths, [0, 1, 2], 1, 10_000)
     assert (kind, arm) == ("exploit", 1)
 
 
 def test_stage_decision_explore_picks_lowest_wide_arm():
     means = np.zeros(3)
     widths = np.array([0.1, 0.6, 0.7])
-    kind, arm = stage_decision(means, widths, [0, 1, 2], 1, 10_000)
+    kind, arm = stage_decision(lambda: means, widths, [0, 1, 2], 1, 10_000)
     assert (kind, arm) == ("explore", 1)
 
 
@@ -375,11 +376,11 @@ def test_stage_decision_filter_hand_trace():
     means = np.array([0.9, 0.5, 0.1])
     T = 5000
     widths1 = np.full(3, 0.3)
-    kind, survivors = stage_decision(means, widths1, [0, 1, 2], 1, T)
+    kind, survivors = stage_decision(lambda: means, widths1, [0, 1, 2], 1, T)
     assert kind == "advance"
     assert survivors == [0, 1, 2]
     widths2 = np.full(3, 0.2)
-    kind, survivors = stage_decision(means, widths2, survivors, 2, T)
+    kind, survivors = stage_decision(lambda: means, widths2, survivors, 2, T)
     assert kind == "advance"
     assert survivors == [0, 1]
 
@@ -392,7 +393,7 @@ def test_stage_decision_leader_always_survives():
         s = int(gen.integers(1, 10))
         widths = gen.uniform(0.0, 2.0 ** (-s), size=k)
         active = sorted(gen.choice(k, size=int(gen.integers(1, k + 1)), replace=False).tolist())
-        kind, payload = stage_decision(means, widths, active, s, 10**8)
+        kind, payload = stage_decision(lambda: means, widths, active, s, 10**8)
         if kind == "advance":
             assert payload
             assert greedy_argmax(means, active) in payload
@@ -421,10 +422,19 @@ def _stage_cases(draw):
 @given(_stage_cases())
 def test_stage_decision_rules(case):
     means, widths, active, s, T = case
-    kind, payload = stage_decision(means, widths, active, s, T)
+    calls = []
+
+    def stage_means():
+        calls.append(s)
+        return means
+
+    kind, payload = stage_decision(stage_means, widths, active, s, T)
     wide = [a for a in active if widths[a] > 2.0 ** (-s)]
     narrow = all(widths[a] <= 1.0 / math.sqrt(T) for a in active)
     best = max(means[a] for a in active)
+    # The explore rule reads only the widths: the means are asked for once,
+    # and only when no active arm is wide.
+    assert len(calls) == (0 if wide else 1)
     if wide:
         assert (kind, payload) == ("explore", min(wide))
     elif narrow:
@@ -436,6 +446,33 @@ def test_stage_decision_rules(case):
         assert max(means[a] for a in payload) == best
         # No arm within 2 * 2^-s of the leader is eliminated.
         assert {a for a in active if means[a] >= best - 2.0 * 2.0 ** (-s)} <= set(payload)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    T=st.integers(2, 10**8),
+    extra=st.integers(0, 4),
+    data=st.data(),
+)
+def test_stage_decision_never_advances_below_the_cutoff(T, extra, data):
+    # From the first s with 2^{-s} <= 1/sqrt(T) on, a finite width either
+    # exceeds 2^{-s} (explore) or is at most 1/sqrt(T) (exploit).  That s
+    # is at most SupCB-GLM's cap S = floor(log2 T).
+    first = next(s for s in range(1, 64) if 2.0 ** (-s) <= 1.0 / math.sqrt(T))
+    assert first <= math.floor(math.log2(T))
+    s = first + extra
+    k = data.draw(st.integers(1, 8))
+    level, floor = 2.0 ** (-s), 1.0 / math.sqrt(T)
+    width = st.one_of(
+        st.floats(0.0, 2.0),
+        st.floats(0.0, floor),
+        st.sampled_from([0.0, level, floor, math.nextafter(level, 1.0)]),
+    )
+    widths = np.array(data.draw(st.lists(width, min_size=k, max_size=k)))
+    means = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k)))
+    active = sorted(data.draw(st.sets(st.integers(0, k - 1), min_size=1)))
+    kind, _ = stage_decision(lambda: means, widths, active, s, T)
+    assert kind != "advance"
 
 
 def _run_supcb(T=300, d=2, K=3, seed=8, link=LOGISTIC, noise="bernoulli", sigma=0.5,
@@ -513,7 +550,7 @@ def test_supcb_stage_scores_match_pure_op():
     members = [i - 1 for i in rounds.stage_sets[1]] + [i - 1 for i in rounds.init_rounds]
     pure = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
     means, widths = policy._stage_scores(1, contexts)
-    assert np.allclose(means, pure.means, atol=1e-6)
+    assert np.allclose(means(), pure.means, atol=1e-6)
     assert np.allclose(widths, pure.widths, atol=1e-8)
 
 
@@ -533,9 +570,10 @@ def test_supcb_exploit_rounds_never_feed_fits():
 
 
 def test_supcb_forced_exploit_at_stage_cap():
-    # 2^{-S} <= 1/sqrt(T), so a consistent width ladder can never advance
-    # past the cap; the forced-exploit branch guards against inconsistent
-    # per-stage designs.  Drive it with stubbed stage scores.
+    # 2^{-S} <= 1/sqrt(T), so with finite widths no round advances past the
+    # cap (test_stage_decision_never_advances_below_the_cutoff); the
+    # forced-exploit branch is reached only with non-finite widths or a
+    # lowered cap.  Drive it with a lowered cap and stubbed stage scores.
     cfg = PolicyConfig(T=100, d=2, K=3, alpha=1.0, tau=2, kappa=0.1,
                        sigma=0.5, delta=0.05)
     policy = SupCbGlmPolicy(cfg, LOGISTIC, policy_rng())
@@ -547,7 +585,7 @@ def test_supcb_forced_exploit_at_stage_cap():
     policy._fits = policy._fits[:2]
     means = np.array([0.1, 0.9, 0.5])
     widths = np.full(3, 0.3)  # in (1/sqrt(T), 2^{-1}]: neither explore nor exploit
-    policy._stage_scores = lambda s, ctx: (means, widths)
+    policy._stage_scores = lambda s, ctx: (lambda: means, widths)
     arm = policy.select(3, contexts)
     assert arm == 1  # forced exploit: argmax of the stage-S means
     assert policy._pending == 0
@@ -574,6 +612,55 @@ def test_supcb_runs_deterministically():
     _, b = _run_supcb(T=150, seed=9)
     assert a["rounds"].stage_sets == b["rounds"].stage_sets
     assert a["rounds"].init_rounds == b["rounds"].init_rounds
+
+
+# refit_logistic's shape (configs/regret_comparison.json at T=2 000) and
+# criterion 7's, every round recorded.
+REFIT_LOGISTIC_SHAPE = dict(
+    T=2000, d=5, K=10, link="logistic", noise="bernoulli", context_dist="uniform_ball",
+    theta_norm=1.0, delta=0.05, algorithms=["supcb-glm"], record_every=1,
+)
+CRITERION_7_SHAPE = dict(
+    T=5000, d=3, K=5, link="identity", noise="gaussian", sigma=0.05,
+    algorithms=["supcb-glm"], record_every=1,
+)
+
+
+def _play_shape(cls, shape, seed):
+    """Replication 0 of ``shape`` at ``seed``, played by a SupCB-GLM class."""
+    spec = ExperimentSpec.from_dict({**shape, "master_seed": seed})
+    policy = cls(
+        resolve_policy_config(spec, "supcb-glm"),
+        get_link(spec.link),
+        streams.stream(seed, 0, streams.POLICY),
+    )
+    return simulate(build_environment(spec, 0), {cls.name: policy}, spec.T)[cls.name]
+
+
+@pytest.mark.parametrize(
+    "shape, seed",
+    [(REFIT_LOGISTIC_SHAPE, 2024), (REFIT_LOGISTIC_SHAPE, 8191), (CRITERION_7_SHAPE, 707)],
+    ids=["refit_logistic-2024", "refit_logistic-8191", "criterion_7-707"],
+)
+def test_supcb_widths_first_matches_fit_every_stage(shape, seed):
+    # Skipping the fits of explore rounds changes no decision on these
+    # shapes: every fit the first order made converged, and the widths-first
+    # order starts each fit it keeps from the same iterate.
+    ref = _play_shape(FitEveryStageSupCbGlmPolicy, shape, seed)
+    new = _play_shape(SupCbGlmPolicy, shape, seed)
+    for field in dataclasses.fields(ref):
+        assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name
+
+
+def test_supcb_explores_refit_logistic_without_fitting(monkeypatch):
+    # With the theorem3 width every post-initialization round explores at
+    # stage 1, which reads the widths alone.
+    fits = []
+    fit = policies.mle_fit
+    monkeypatch.setattr(policies, "mle_fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
+    trace = _play_shape(SupCbGlmPolicy, REFIT_LOGISTIC_SHAPE, 2024)
+    assert set(trace.stages[trace.stages >= 0].tolist()) == {1}
+    assert len(fits) == 0
 
 
 def test_ucb_runs_deterministically():
