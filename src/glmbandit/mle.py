@@ -7,8 +7,11 @@ The estimate solves the score equation
 by damped Newton steps with the Fisher matrix
 ``sum_i mu'(x_i' theta) x_i x_i'`` as the step matrix.  The log-likelihood
 is concave for the built-in links, so Newton with step halving is the
-standard solver; bandit callers warm-start from the previous round's
-estimate, which keeps per-round cost to one or two iterations.
+standard solver. A bandit learner refits only when its last exact fit
+cannot certify the round's decision (``policies.GlmFit``), and then
+warm-starts from that fit, which keeps a fit to a few iterations. The
+result carries the final score vector, so the learner can keep the score
+at that fit current as its log grows.
 
 Each Newton iteration costs a floor check on the Fisher matrix that a
 Gershgorin bound settles without an eigendecomposition unless the matrix is
@@ -32,6 +35,7 @@ from .links import LinkFunction
 
 FISHER_EIGENVALUE_FLOOR = 1e-10
 FISHER_RIDGE = 1e-8
+MLE_TOLERANCE = 1e-8  # sup-norm of the score at a converged fit
 
 # Candidate x row elements per batched pass of the step halving, which
 # bounds the batch's temporaries: a large log gets one candidate per pass.
@@ -49,6 +53,7 @@ class MleResult:
     iterations: int
     converged: bool
     final_score_norm: float
+    score: np.ndarray  # sum_i (y_i - mu(x_i' theta)) x_i at the returned theta
 
 
 def _link_pass(link: LinkFunction, xs: np.ndarray, ys: np.ndarray, theta: np.ndarray):
@@ -131,7 +136,7 @@ def mle_fit(
     xs: np.ndarray,
     ys: np.ndarray,
     warm_start: np.ndarray | None = None,
-    tolerance: float = 1e-8,
+    tolerance: float = MLE_TOLERANCE,
     max_iterations: int = 100,
 ) -> MleResult:
     """Solve the score equation; convergence is sup-norm of the score.
@@ -178,4 +183,5 @@ def mle_fit(
         iterations=iterations,
         converged=snorm <= tolerance,
         final_score_norm=snorm,
+        score=score,
     )

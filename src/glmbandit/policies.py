@@ -12,10 +12,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .design import DesignState, min_eigenvalue, weighted_norms
+from .design import DesignState, min_eigenvalue, weighted_norm, weighted_norms
 from .errors import InvalidConfigError
 from .links import LinkFunction
-from .mle import mle_fit
+from .mle import MLE_TOLERANCE, mle_fit
 
 ALPHA_RULES = ("explicit", "theorem2", "theorem3", "theorem4")
 
@@ -29,7 +29,7 @@ POLICY_KINDS = (
 )
 
 # Policies that do not learn: they select a whole chunk of rounds at once
-# and cost next to nothing beside a learner's per-round refit.
+# and cost next to nothing beside a learner's refits.
 NON_LEARNING_KINDS = ("uniform", "oracle")
 
 
@@ -171,25 +171,32 @@ def greedy_argmax(scores: np.ndarray, active: list[int] | None = None) -> int:
     return active[int(np.argmax(scores[active]))]
 
 
-def ucb_scores(
-    contexts: np.ndarray, theta: np.ndarray, v_inv: np.ndarray, alpha: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Mean estimates x'theta and widths alpha * |x|_{V^{-1}} per arm."""
-    return contexts @ theta, alpha * weighted_norms(contexts, v_inv)
-
-
 class GlmFit:
     """A design and the MLE on its log, warm-started from the last fit
-    (zeros before the first) and refit only after the log grew."""
+    (zeros before the first) and refit only after the log grew.
+
+    After a fit that converged, it keeps what bounds the current log's MLE
+    without refitting: ``score``, the score at that fit on the current log
+    (the fit's final score plus x (y - mu(x'theta)) for each row added
+    since), and ``r_max``, the largest row norm in the log.
+    """
 
     def __init__(self, link: LinkFunction, design: DesignState):
         self.link = link
         self.design = design
         self.theta = np.zeros(design.d)
+        self._theta_norm = 0.0
         self.dirty = True
+        self.score: np.ndarray | None = None  # None unless theta's fit converged
+        rows = design.features
+        self.r_max = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max(initial=0.0))
 
     def update(self, x: np.ndarray, y: float) -> None:
         self.design.update(x, y)
+        x = np.asarray(x, dtype=float)
+        self.r_max = max(self.r_max, math.sqrt(float(x @ x)))
+        if self.score is not None:
+            self.score += x * (y - float(self.link.mu(float(x @ self.theta))))
         self.dirty = True
 
     def refit(self) -> bool:
@@ -200,8 +207,65 @@ class GlmFit:
             self.link, self.design.features, self.design.rewards, warm_start=self.theta
         )
         self.theta = result.theta
+        self._theta_norm = math.sqrt(float(self.theta @ self.theta))
+        self.score = result.score.copy() if result.converged else None
         self.dirty = False
         return result.converged
+
+    def bound(self) -> float:
+        """B with |theta_hat - theta|_V <= B for the current log's MLE
+        theta_hat and for any iterate a converged refit could return; inf
+        when the last fit cannot bound them.
+
+        The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
+        non-increasing in |z| for the built-in links, so on the Euclidean
+        ball of radius R around theta it is at most -c V with
+        c = mu'(r_max (|theta| + R)). The mean-value step then gives
+        |theta_hat - theta|_V <= |score|_{V^{-1}} / c, as long as the bound
+        keeps inside the ball: B sqrt(tr V^{-1}) <= R, since
+        lambda_min(V) >= 1 / tr(V^{-1}). A refit's iterate has a score of
+        sup-norm at most MLE_TOLERANCE, which moves it at most
+        sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c from theta_hat. R is taken
+        as twice the bound at the slope at theta itself.
+        """
+        if self.score is None:
+            return math.inf
+        v_inv = self.design.inverse()
+        root_trace = math.sqrt(float(v_inv.trace()))
+        # |score|_{V^{-1}}, plus the most a refit's residual score adds to it.
+        score_norm = weighted_norm(self.score, v_inv)
+        score_norm += math.sqrt(self.design.d) * MLE_TOLERANCE * root_trace
+        slope = float(self.link.mu_dot(self.r_max * self._theta_norm))
+        if not slope > 0:
+            return math.inf
+        radius = 2.0 * score_norm / slope * root_trace
+        reach = self.r_max * (self._theta_norm + radius)  # the largest |x'theta| on the ball
+        if not reach < 1e150:  # a bound this wide certifies nothing; mu' could overflow
+            return math.inf
+        slope = float(self.link.mu_dot(reach))
+        if not slope > 0:
+            return math.inf
+        bound = score_norm / slope
+        return bound if bound * root_trace <= radius else math.inf
+
+    def certified_arm(self, contexts: np.ndarray, alpha: float, norms: np.ndarray) -> int | None:
+        """The arm maximizing x'theta_hat + alpha |x|_{V^{-1}} at the current
+        log's MLE theta_hat, read off the last fit without refitting, or None
+        when ``bound`` cannot certify it. ``norms`` are the |x|_{V^{-1}}.
+
+        Each arm's score at theta_hat lies within |x|_{V^{-1}} B of its score
+        at the last fit, so the top arm there is certified when even its
+        lowest score beats every other arm's highest.
+        """
+        bound = self.bound()
+        if bound == math.inf:
+            return None
+        scores = contexts @ self.theta + alpha * norms
+        top = int(np.argmax(scores))
+        spread = norms * bound
+        rivals = scores + spread
+        rivals[top] = -math.inf
+        return top if scores[top] - spread[top] > rivals.max() else None
 
 
 class BasePolicy:
@@ -286,14 +350,36 @@ class _GlmFitPolicy(BasePolicy):
     def update(self, t: int, arm: int, x: np.ndarray, y: float) -> None:
         self.fit.update(x, y)
 
+    def estimate(self) -> np.ndarray:
+        """The MLE on the current log, refit if the log grew since the last
+        fit; a refit that does not converge counts as in ``select``."""
+        return self._refit(self.fit)
+
+    def _best_arm(self, contexts: np.ndarray, alpha: float, v_inv: np.ndarray | None) -> int:
+        """The lowest-index maximizer of x'theta_hat + alpha |x|_{V^{-1}} at
+        the current log's MLE theta_hat: certified from the last fit when it
+        can be, else after a refit. ``v_inv`` is V^{-1}, or None with
+        alpha = 0 to form it only for a certificate."""
+        fit = self.fit
+        norms = None if v_inv is None else weighted_norms(contexts, v_inv)
+        if fit.dirty and fit.score is not None:
+            if norms is None:
+                norms = weighted_norms(contexts, fit.design.inverse())
+            arm = fit.certified_arm(contexts, alpha, norms)
+            if arm is not None:
+                return arm
+        means = contexts @ self.estimate()
+        return greedy_argmax(means + alpha * norms if alpha else means)
+
 
 class UcbGlmPolicy(_GlmFitPolicy):
     """Optimistic GLM policy.
 
     The first tau rounds pick arms uniformly at random so the design
-    becomes invertible; afterwards each round refits the MLE on the full
-    log and plays the lowest-index maximizer of
-    ``x'theta_hat + alpha |x|_{V^{-1}}``.
+    becomes invertible; afterwards each round plays the lowest-index
+    maximizer of ``x'theta_hat + alpha |x|_{V^{-1}}`` at the MLE on the full
+    log. The round refits that MLE only when the last fit cannot certify
+    the maximizer (``GlmFit.certified_arm``).
     """
 
     name = "ucb-glm"
@@ -307,8 +393,7 @@ class UcbGlmPolicy(_GlmFitPolicy):
         if self.lambda_min_init is None:
             self.lambda_min_init = min_eigenvalue(design.V)
         v_inv = design.inverse()  # raises SingularDesignError before any refit
-        means, widths = ucb_scores(contexts, self._refit(self.fit), v_inv, cfg.alpha)
-        return greedy_argmax(means + widths)
+        return self._best_arm(contexts, cfg.alpha, v_inv)
 
 
 class EpsilonGreedyPolicy(_GlmFitPolicy):
@@ -316,7 +401,9 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
 
     Falls back to uniform while the design is singular.  With epsilon = 0
     this is the pure-greedy baseline, identical to UCB-GLM selection with
-    alpha = 0 once the design is invertible.
+    alpha = 0 once the design is invertible, and like it refits the MLE
+    only when the last fit cannot certify the argmax; the certificate reads
+    V^{-1}.
     """
 
     name = "epsilon-greedy"
@@ -327,7 +414,7 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
         coin = float(self.rng.random())
         if coin < cfg.epsilon or not self.fit.design.clears_floor():
             return int(self.rng.integers(cfg.K))
-        return greedy_argmax(contexts @ self._refit(self.fit))
+        return self._best_arm(contexts, 0.0, None)
 
 
 def stage_decision(

@@ -333,7 +333,10 @@ def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
         def observe(label: str, t: int, x: np.ndarray) -> None:
             if t > config.tau:
                 ts.append(t)
-                delta_norms.append(weighted_norm(fit.theta - env.theta_star, fit.design.V))
+                # The policy may have played from its last fit; lemma4 is
+                # about the current log's MLE, so refit it here.
+                theta = policy.estimate()
+                delta_norms.append(weighted_norm(theta - env.theta_star, fit.design.V))
                 widths.append(weighted_norm(x, fit.design.inverse()))
 
         # Only round T enters the trace; the observer keeps what the checks need.

@@ -7,8 +7,8 @@ batches or skips, the reference sigmoid keeps a fresh temporary per step,
 the reference context draw normalises rows by ``np.linalg.norm`` and
 broadcasts, and the eigenvalue oracle brackets a root of the characteristic
 polynomial instead of calling a symmetric eigensolver.  The module also
-keeps the helpers that only tests use (score vectors, per-index stage
-scores, regret of one round, scalar reward draws, the SupCB-GLM round
+keeps the helpers that only tests use (score vectors, UCB means and
+widths, per-index stage scores, regret of one round, scalar reward draws, the SupCB-GLM round
 recorder and partition check, the inverse consistency error, the trace
 file reader), the instrumented UCB-GLM runner's own loop, the validation
 checks' own sampler, the harness's per-round simulation loop and the GLM
@@ -28,7 +28,7 @@ from glmbandit.design import DesignState, min_eigenvalue, weighted_norms
 from glmbandit.errors import InvalidConfigError, SingularDesignError
 from glmbandit.links import LinkFunction
 from glmbandit.mle import mle_fit
-from glmbandit.policies import BasePolicy, PolicyConfig, greedy_argmax, stage_decision, ucb_scores
+from glmbandit.policies import BasePolicy, PolicyConfig, greedy_argmax, stage_decision
 
 
 def _log_partition(kind: str, z: np.ndarray) -> np.ndarray:
@@ -234,6 +234,7 @@ def reference_mle_fit(link, xs, ys, warm_start=None, tolerance=1e-8, max_iterati
         iterations=iterations,
         converged=snorm <= tolerance,
         final_score_norm=snorm,
+        score=score,
     )
 
 
@@ -254,6 +255,13 @@ def random_logistic_instance(link, gen: np.random.Generator, d_max=5, n_max=200)
 
 
 # Test-only helpers that once lived in the library ---------------------------
+
+
+def ucb_scores(
+    contexts: np.ndarray, theta: np.ndarray, v_inv: np.ndarray, alpha: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Mean estimates x'theta and widths alpha * |x|_{V^{-1}} per arm."""
+    return contexts @ theta, alpha * weighted_norms(contexts, v_inv)
 
 
 def score_vector(link, xs, ys, theta):
@@ -580,10 +588,11 @@ def reference_simulate(
     )
 
 
-# The GLM learners as first written, each owning its own refit, and
-# SupCB-GLM with its initialization-design fallback, in the widths-first
-# order and in its first fit-every-stage order: the bit-identity references
-# for the policies module's learners, which share one refit.
+# The GLM learners as first written, each owning its own refit every
+# round, and SupCB-GLM in the widths-first order and in its first
+# fit-every-stage order: the bit-identity references for the policies
+# module's learners, which share one refit and make it only when the last
+# fit cannot certify the decision.
 
 
 class ReferenceGlmFitPolicy(BasePolicy):
@@ -687,37 +696,21 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
         self.link = link
         self.S = int(math.floor(math.log2(config.T)))
         self._init_design = DesignState(config.d)
-        self._init_theta: np.ndarray | None = None
         self._stage_designs: list[DesignState | None] = [None] * (self.S + 1)
         self._stage_thetas: list[np.ndarray | None] = [None] * (self.S + 1)
         self._stage_dirty = [True] * (self.S + 1)
         self._pending: int | None = None  # stage set receiving the round
 
-    def _init_fit(self) -> np.ndarray:
-        if self._init_theta is None:
-            result = mle_fit(self.link, self._init_design.features, self._init_design.rewards)
-            self._init_theta = result.theta
-            if not result.converged:
-                self.n_nonconverged += 1
-                self.last_mle_converged = False
-        return self._init_theta
-
-    def _stage_inverse(self, s: int) -> tuple[np.ndarray, bool]:
-        """V^{-1} of Psi_s united with F, and True; if that design is
-        singular, the initialization rounds' V^{-1} and False; if even
-        those are singular the run cannot continue."""
+    def _stage_inverse(self, s: int) -> np.ndarray:
+        """V^{-1} of Psi_s united with F. That design is F's plus PSD terms,
+        so it is singular only when F's is, and then the run cannot go on."""
         v_inv = _inverse_or_none(self._stage_designs[s])
-        if v_inv is not None:
-            return v_inv, True
-        v_inv = _inverse_or_none(self._init_design)
         if v_inv is None:
-            raise SingularDesignError(f"stage {s} and initialization designs are both singular")
-        return v_inv, False
+            raise SingularDesignError(f"stage {s} design is singular")
+        return v_inv
 
-    def _stage_theta(self, s: int, own_design: bool) -> np.ndarray:
-        """The MLE on the design ``_stage_inverse`` chose, fit if stale."""
-        if not own_design:
-            return self._init_fit()
+    def _stage_theta(self, s: int) -> np.ndarray:
+        """The MLE on Psi_s united with F, fit if stale."""
         if self._stage_dirty[s]:
             design = self._stage_designs[s]
             result = mle_fit(
@@ -737,9 +730,8 @@ class ReferenceSupCbGlmPolicy(BasePolicy):
         """Means and widths at stage s.  The widths come from the design
         alone, and the means, a callable, fit the stage only when called:
         ``stage_decision`` calls them only when no active arm is wide."""
-        v_inv, own_design = self._stage_inverse(s)
-        widths = self.config.alpha * weighted_norms(contexts, v_inv)
-        return (lambda: contexts @ self._stage_theta(s, own_design)), widths
+        widths = self.config.alpha * weighted_norms(contexts, self._stage_inverse(s))
+        return (lambda: contexts @ self._stage_theta(s)), widths
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
@@ -791,8 +783,6 @@ class FitEveryStageSupCbGlmPolicy(ReferenceSupCbGlmPolicy):
     later fit's warm start."""
 
     def _stage_scores(self, s: int, contexts: np.ndarray):
-        v_inv, own_design = self._stage_inverse(s)
-        means, widths = ucb_scores(
-            contexts, self._stage_theta(s, own_design), v_inv, self.config.alpha
-        )
+        v_inv = self._stage_inverse(s)
+        means, widths = ucb_scores(contexts, self._stage_theta(s), v_inv, self.config.alpha)
         return (lambda: means), widths

@@ -133,6 +133,7 @@ def assert_matches_reference(link, xs, ys, **kwargs):
     assert new.iterations == ref.iterations
     assert new.converged == ref.converged
     assert np.array_equal(new.final_score_norm, ref.final_score_norm, equal_nan=True)
+    assert np.array_equal(new.score, ref.score, equal_nan=True)
 
 
 @settings(deadline=None, max_examples=150)

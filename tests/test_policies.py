@@ -1,5 +1,7 @@
 import dataclasses
+import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from glmbandit import policies
 from glmbandit import rng as streams
-from glmbandit.design import weighted_norm
+from glmbandit.design import DesignState, weighted_norm
 from glmbandit.environment import Environment
 from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
 from glmbandit.harness import ExperimentSpec, build_environment, resolve_policy_config, simulate
@@ -25,9 +27,9 @@ from glmbandit.policies import (
     tau_for_supcb,
     tau_for_theorem4,
     tau_for_ucb,
-    ucb_scores,
 )
 
+import oracles
 from oracles import (
     FitEveryStageSupCbGlmPolicy,
     ReferenceEpsilonGreedyPolicy,
@@ -36,7 +38,9 @@ from oracles import (
     SupCbRounds,
     cb_glm_scores,
     partition_ok,
+    reference_mle_fit,
     scalar_reward,
+    ucb_scores,
 )
 
 
@@ -270,34 +274,53 @@ def test_greedy_falls_back_to_uniform_while_singular():
     assert seen == {0, 1, 2}  # uniform fallback explores every arm
 
 
-def test_epsilon_greedy_never_inverts_the_design(monkeypatch):
-    # The exploit rounds only ask whether V has cleared the eigenvalue
-    # floor; epsilon-greedy reads nothing of V's inverse.
-    from glmbandit.design import DesignState
+def test_epsilon_greedy_inverts_only_to_certify_an_exploit_round(monkeypatch):
+    # An exploit round reads V^{-1} to certify its argmax from the last fit.
+    # An epsilon round and a uniform-fallback round read nothing of it, no
+    # round inverts V before it clears the floor, and no design size is
+    # inverted twice.
+    from glmbandit import design
+    from glmbandit.design import MIN_EIGENVALUE_FLOOR, min_eigenvalue
 
-    inversions = []
-    inverse = DesignState.inverse
+    class Coins:
+        """The policy's generator, keeping the coins it tosses."""
 
-    def counted(self):
-        inversions.append(self.n)
-        return inverse(self)
+        def __init__(self, gen):
+            self.gen, self.tossed = gen, []
 
-    monkeypatch.setattr(DesignState, "inverse", counted)
+        def random(self):
+            self.tossed.append(self.gen.random())
+            return self.tossed[-1]
+
+        def integers(self, *args):
+            return self.gen.integers(*args)
+
+    inverted = []  # (round, design size, V cleared the floor)
+    inv = design.inv
+    monkeypatch.setattr(design, "inv", lambda a: inverted.append(
+        (t, policy.fit.design.n, min_eigenvalue(a) >= MIN_EIGENVALUE_FLOOR)) or inv(a))
     gen = np.random.default_rng(31)
     cfg = config(T=200, d=3, K=4, tau=0, epsilon=0.2)
     policy = EpsilonGreedyPolicy(cfg, LOGISTIC, policy_rng())
+    policy.rng = coins = Coins(policy.rng)
     theta = np.array([0.5, -0.4, 0.3])
-    refits = 0
+    exploit, refits = set(), 0
     for t in range(1, 201):
         contexts = gen.standard_normal((4, 3)) / 2.0
+        cleared = min_eigenvalue(policy.fit.design.V) >= MIN_EIGENVALUE_FLOOR
         dirty = policy.fit.dirty
         arm = policy.select(t, contexts)
         refits += dirty and not policy.fit.dirty
+        if cleared and coins.tossed[-1] >= cfg.epsilon:
+            exploit.add(t)
         y = float(gen.random() < LOGISTIC.mu(contexts[arm] @ theta))
         policy.update(t, arm, contexts[arm], y)
-    assert refits > 100
-    assert policy.fit.design.clears_floor()
-    assert inversions == []
+    rounds, sizes, floors = zip(*inverted)
+    assert set(rounds) <= exploit
+    assert len(set(sizes)) == len(sizes)
+    assert all(floors)
+    # Some exploit rounds were certified from the last fit: they did not refit.
+    assert len(inverted) > 100 and refits < len(exploit)
 
 
 def test_make_policy_dispatch():
@@ -627,10 +650,10 @@ CRITERION_7_SHAPE = dict(
 
 
 def _play_shape(cls, shape, seed):
-    """Replication 0 of ``shape`` at ``seed``, played by a SupCB-GLM class."""
+    """Replication 0 of ``shape`` at ``seed``, played by a learner class."""
     spec = ExperimentSpec.from_dict({**shape, "master_seed": seed})
     policy = cls(
-        resolve_policy_config(spec, "supcb-glm"),
+        resolve_policy_config(spec, cls.name),
         get_link(spec.link),
         streams.stream(seed, 0, streams.POLICY),
     )
@@ -734,3 +757,80 @@ def test_learners_match_their_references(
         assert not isinstance(new, type), f"{new_cls.name} raised {new.__name__}"
         for field in dataclasses.fields(ref):
             assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name
+
+
+# The certified lazy refit -----------------------------------------------------
+
+LAZY_LEARNERS = [
+    (UcbGlmPolicy, ReferenceUcbGlmPolicy),
+    (EpsilonGreedyPolicy, ReferenceEpsilonGreedyPolicy),
+]
+REFIT_LOGISTIC_LEARNERS_SHAPE = {**REFIT_LOGISTIC_SHAPE, "epsilon": 0.1}
+
+
+@pytest.mark.parametrize("seed", [2024, 8191])
+@pytest.mark.parametrize("new_cls, ref_cls", LAZY_LEARNERS, ids=["ucb-glm", "epsilon-greedy"])
+def test_lazy_refit_plays_as_refitting_every_round(new_cls, ref_cls, seed):
+    ref = _play_shape(ref_cls, REFIT_LOGISTIC_LEARNERS_SHAPE, seed)
+    new = _play_shape(new_cls, REFIT_LOGISTIC_LEARNERS_SHAPE, seed)
+    for field in dataclasses.fields(ref):
+        assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name
+
+
+@pytest.mark.parametrize("new_cls, ref_cls", LAZY_LEARNERS, ids=["ucb-glm", "epsilon-greedy"])
+def test_lazy_refit_fits_under_30_percent_of_fit_rounds(new_cls, ref_cls, monkeypatch):
+    fits = []
+    fit = policies.mle_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "mle_fit", counted)
+    monkeypatch.setattr(policies, "mle_fit", counted)
+    # The reference fits on every round that needs an estimate.
+    _play_shape(ref_cls, REFIT_LOGISTIC_LEARNERS_SHAPE, 2024)
+    fit_rounds = len(fits)
+    fits.clear()
+    _play_shape(new_cls, REFIT_LOGISTIC_LEARNERS_SHAPE, 2024)
+    assert fit_rounds > 1000
+    assert len(fits) < 0.3 * fit_rounds
+
+
+@given(
+    link=st.sampled_from([IDENTITY, LOGISTIC, PROBIT]),
+    d=st.integers(1, 4),
+    n_fit=st.integers(12, 120),
+    n_new=st.integers(0, 6),
+    scale=st.sampled_from([1.0, 2.0, 4.0]),
+    fit_tolerance=st.sampled_from([1e-8, 1e-2]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_refit_bound_covers_the_mle(link, d, n_fit, n_new, scale, fit_tolerance, seed):
+    # A finite GlmFit.bound B puts the current log's MLE within B of the last
+    # fit in V-norm. Context norms reach ``scale``, past the unit ball. The
+    # bound must hold from any converged fit, so the last fit is also made
+    # at a loose tolerance, which leaves a residual score it must carry.
+    gen = np.random.default_rng(seed)
+    n = n_fit + n_new
+    z = gen.standard_normal((n, d))
+    xs = scale * z / np.linalg.norm(z, axis=1)[:, None] * gen.random(n)[:, None] ** (1.0 / d)
+    theta_star = gen.uniform(-1.0, 1.0, size=d)
+    if link.kind == "identity":
+        ys = xs @ theta_star + 0.3 * gen.standard_normal(n)
+    else:
+        ys = (gen.random(n) < link.mu(xs @ theta_star)).astype(float)
+    fit = policies.GlmFit(link, DesignState(d))
+    for x, y in zip(xs[:n_fit], ys[:n_fit]):
+        fit.update(x, y)
+    with mock.patch.object(policies, "mle_fit", functools.partial(
+            policies.mle_fit, tolerance=fit_tolerance)):
+        fit.refit()
+    for x, y in zip(xs[n_fit:], ys[n_fit:]):
+        fit.update(x, y)
+    bound = fit.bound()
+    if bound < math.inf:
+        exact = reference_mle_fit(link, xs, ys)
+        assert exact.converged
+        assert weighted_norm(exact.theta - fit.theta, fit.design.V) <= bound
