@@ -279,13 +279,24 @@ class Environment:
             return np.asarray(noise < means, dtype=float)
         return means + self.sigma * noise
 
-    def sample_reward(self, x: np.ndarray, noise: float) -> float:
+    def sample_reward(self, x: np.ndarray, noise: float | np.ndarray) -> float | np.ndarray:
         """The reward for the chosen feature vector, given the round's value
-        from ``sample_noise``."""
-        mean = self.mean_reward(x)
-        if self.noise == "bernoulli":  # ``rewards``' rule on plain floats
-            return float(float(noise) < mean)
-        return float(self.rewards(mean, noise))
+        from ``sample_noise``; or, for a stack of such vectors (shape
+        ``(..., d)``) and noise that broadcasts against its leading shape,
+        the rewards as an array of that shape, one link call for them all.
+
+        A stacked row's linear predictor comes from the (1 x d) @ (d x 1)
+        product of ``np.matmul``, which makes the same ``ddot`` call as one
+        vector's ``x @ theta*``, so every reward has the bits of a call on
+        its row alone. A plain ``xs @ theta*`` (gemv) sums in another order.
+        """
+        if np.ndim(x) == 1:
+            mean = self.mean_reward(x)
+            if self.noise == "bernoulli":  # ``rewards``' rule on plain floats
+                return float(float(noise) < mean)
+            return float(self.rewards(mean, noise))
+        z = np.matmul(x[..., None, :], self.theta_star[:, None])[..., 0, 0]
+        return self.rewards(np.asarray(self.link.mu(z), dtype=float), noise)
 
     def sample_log(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """n iid (context, reward) pairs plus the realized noise ``y - mean``.

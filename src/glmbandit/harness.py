@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import itertools
 import json
 import math
 import numbers
 import os
 import typing
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -59,6 +60,9 @@ _SHAPE_FIELDS = ("T", "record_every", "replications")
 # (rounds, K, d) context array holds at most this many floats (at least
 # one round). A budget, not a round count, keeps peak memory flat in K*d.
 CHUNK_ELEMENTS = 32_768
+
+# The CSV writers format this many rows at a time, a column at a time.
+EMIT_BLOCK_ROWS = 256
 
 
 def fmt(value: float) -> str:
@@ -307,26 +311,29 @@ def _play_chunk(
     done: int,
     picked: np.ndarray,
     observe: Callable[[str, int, np.ndarray], None] | None,
+    reward_table: Callable[[], np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One policy's turn at a chunk of rounds ``done+1 ..``: the arm of
     every round, and the reward, MLE flag and stage of each ``picked`` one.
 
-    A policy that does not learn selects the whole chunk at once and draws
-    rewards only for the picked rounds; one that learns plays round by round.
+    A policy that does not learn selects the whole chunk at once and scores
+    only its picked rows, in one ``sample_reward`` call. One that learns
+    plays round by round and reads each reward from ``reward_table()``, the
+    chunk's ``(rounds, K)`` table of every arm's reward.
     """
     m = len(tape)
     chosen = policy.select_rounds(tape)
     if chosen is not None:
-        xs = tape[np.arange(m), chosen]
         if observe is not None:
+            xs = tape[np.arange(m), chosen]
             for i in range(m):
                 observe(label, done + i + 1, xs[i])
-        rewards = np.array([env.sample_reward(xs[i], noise[i]) for i in picked], dtype=float)
+        rewards = env.sample_reward(tape[picked, chosen[picked]], noise[picked])
         stage = -1 if policy.last_stage is None else policy.last_stage
         converged = np.full(len(picked), int(policy.last_mle_converged))
         return chosen, rewards, converged, np.full(len(picked), stage)
+    table = reward_table()
     chosen = np.empty(m, dtype=int)
-    rewards = np.empty(m)
     converged = np.empty(m, dtype=int)
     stages = np.empty(m, dtype=int)
     for i in range(m):
@@ -336,13 +343,11 @@ def _play_chunk(
         x = contexts[arm]
         if observe is not None:
             observe(label, t, x)
-        y = env.sample_reward(x, noise[i])
-        policy.update(t, arm, x, y)
+        policy.update(t, arm, x, table.item(i, arm))
         chosen[i] = arm
-        rewards[i] = y
         converged[i] = policy.last_mle_converged
         stages[i] = -1 if policy.last_stage is None else policy.last_stage
-    return chosen, rewards[picked], converged[picked], stages[picked]
+    return chosen, table[picked, chosen[picked]], converged[picked], stages[picked]
 
 
 def simulate(
@@ -358,12 +363,17 @@ def simulate(
     ``policies`` maps each algorithm label to its policy; the result maps
     the labels to their traces. Contexts, reward noise, arm means and
     optimal arms depend on no policy, so they are drawn and scored once per
-    chunk of rounds, and every policy then plays that chunk in turn. Every
-    value is bit-identical to running each policy alone, round by round.
+    chunk of rounds, and every policy then plays that chunk in turn.
+    Rewards are scored an array at a time: each policy that does not learn
+    scores its picked rows in one call, and the learners share one table of
+    every arm's reward, scored the first time a learner plays the chunk.
+    Every value is bit-identical to running each policy alone, round by
+    round, with one scalar reward per round.
 
     ``observe(label, t, x)``, when given, sees each policy's chosen
-    features at every round, before the reward is computed. It must draw
-    from no random stream, so observed runs stay identical to plain ones.
+    features at every round, before the policy learns the reward. It must
+    draw from no random stream, so observed runs stay identical to plain
+    ones.
     """
     ts = np.arange(record_every, T + 1, record_every)
     if T % record_every:
@@ -397,10 +407,12 @@ def simulate(
         last = int(np.searchsorted(ts, done + m, side="right"))
         rows = slice(first, last)
         picked = ts[rows] - done - 1
+        # Kept as an array: a nested list of Python floats costs far more memory.
+        reward_table = functools.cache(functools.partial(env.sample_reward, tape, noise[:, None]))
         for label, policy in policies.items():
             trace = traces[label]
             chosen, rewards, converged, stages = _play_chunk(
-                env, label, policy, tape, noise, done, picked, observe
+                env, label, policy, tape, noise, done, picked, observe, reward_table
             )
             regret = top - means[rounds, chosen]
             # Carry the running total into the first term: cumsum then adds
@@ -618,24 +630,49 @@ def safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-._" else "_" for ch in name)
 
 
+def _constant(cell: str) -> Callable[[slice], Iterable[str]]:
+    return lambda rows: itertools.repeat(cell)
+
+
+def _ints(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
+    return lambda rows: map(str, column[rows].astype(int, copy=False).tolist())
+
+
+def _floats(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
+    return lambda rows: map(fmt, column[rows].astype(float, copy=False).tolist())
+
+
+def _stages(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
+    """The stage column: blank where the policy has no stage (-1)."""
+    return lambda rows: [
+        "" if v < 0 else str(v) for v in column[rows].astype(int, copy=False).tolist()
+    ]
+
+
+def _csv_rows(n: int, columns: list[Callable[[slice], Iterable[str]]]) -> list[str]:
+    """The n rows of a CSV body, formatted a column at a time in blocks of
+    ``EMIT_BLOCK_ROWS`` rows: each of ``columns`` maps a slice of rows to
+    its cells. A block bounds the Python floats alive at once, which whole
+    columns would hold for every row."""
+    lines = []
+    for start in range(0, n, EMIT_BLOCK_ROWS):
+        rows = slice(start, start + EMIT_BLOCK_ROWS)
+        lines += map(",".join, zip(*(column(rows) for column in columns)))
+    return lines
+
+
 def emit_trace_csv(trace: RegretTrace, path: str) -> None:
-    lines = [TRACE_HEADER]
-    for i in range(len(trace.ts)):
-        stage = "" if trace.stages[i] < 0 else str(int(trace.stages[i]))
-        lines.append(
-            ",".join(
-                (
-                    str(int(trace.ts[i])),
-                    str(int(trace.arms[i])),
-                    str(int(trace.optimal_arms[i])),
-                    fmt(float(trace.rewards[i])),
-                    fmt(float(trace.inst_regret[i])),
-                    fmt(float(trace.cum_regret[i])),
-                    str(int(trace.mle_converged[i])),
-                    stage,
-                )
-            )
-        )
+    columns = [
+        _ints(trace.ts),
+        _ints(trace.arms),
+        _ints(trace.optimal_arms),
+        _floats(trace.rewards),
+        _floats(trace.inst_regret),
+        _floats(trace.cum_regret),
+        _ints(trace.mle_converged),
+        _stages(trace.stages),
+    ]
+    lines = [TRACE_HEADER, *_csv_rows(len(trace.ts), columns)]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -653,20 +690,13 @@ def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
     lines = [SUMMARY_HEADER]
     for name in spec.algorithms:
         stat = summary.stats[name]
-        for i, t in enumerate(summary.ts):
-            lines.append(
-                ",".join(
-                    (
-                        name,
-                        str(int(t)),
-                        fmt(float(stat["mean"][i])),
-                        fmt(float(stat["std"][i])),
-                        fmt(float(stat["min"][i])),
-                        fmt(float(stat["max"][i])),
-                        str(summary.n_reps),
-                    )
-                )
-            )
+        columns = [
+            _constant(name),
+            _ints(summary.ts),
+            *(_floats(stat[key]) for key in ("mean", "std", "min", "max")),
+            _constant(str(summary.n_reps)),
+        ]
+        lines += _csv_rows(len(summary.ts), columns)
     summary_path = os.path.join(out_dir, "summary.csv")
     write_atomic(summary_path, "\n".join(lines) + "\n")
 

@@ -24,8 +24,8 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
         # The same IEEE operations in Python floats, one np.exp aside: the
-        # scalar calls (one per round, from Environment.mean_reward) skip
-        # the ufunc dispatch of the rest.
+        # scalar calls (one per learner round once a fit has converged,
+        # from GlmFit.update's score) skip the ufunc dispatch of the rest.
         z = float(z)
         ez = float(np.exp(-abs(z)))
         return np.float64((1.0 if z >= 0 else ez) / (1.0 + ez))

@@ -327,16 +327,26 @@ def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
     for rep in reps:
         env = build_environment(spec, rep)
         policy = make_policies(spec, rep, ("ucb-glm",), env)["ucb-glm"]
-        config, fit = policy.config, policy.fit
+        config, fit, select = policy.config, policy.fit, policy.select
         ts, delta_norms, widths = [], [], []
+
+        def refit_then_select(t: int, contexts: np.ndarray) -> int:
+            # lemma4 is about the current log's MLE, so every round past tau
+            # refits it; refit before select, which then plays from the
+            # clean fit rather than first trying to certify the arm from
+            # the last one. inverse() raises SingularDesignError before any
+            # fit, as select's own call would.
+            if t > config.tau:
+                fit.design.inverse()
+                policy.estimate()
+            return select(t, contexts)
+
+        policy.select = refit_then_select
 
         def observe(label: str, t: int, x: np.ndarray) -> None:
             if t > config.tau:
                 ts.append(t)
-                # The policy may have played from its last fit; lemma4 is
-                # about the current log's MLE, so refit it here.
-                theta = policy.estimate()
-                delta_norms.append(weighted_norm(theta - env.theta_star, fit.design.V))
+                delta_norms.append(weighted_norm(fit.theta - env.theta_star, fit.design.V))
                 widths.append(weighted_norm(x, fit.design.inverse()))
 
         # Only round T enters the trace; the observer keeps what the checks need.

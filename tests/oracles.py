@@ -8,11 +8,12 @@ the reference context draw normalises rows by ``np.linalg.norm`` and
 broadcasts, and the eigenvalue oracle brackets a root of the characteristic
 polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, UCB means and
-widths, per-index stage scores, regret of one round, scalar reward draws, the SupCB-GLM round
-recorder and partition check, the inverse consistency error, the trace
-file reader), the instrumented UCB-GLM runner's own loop, the validation
-checks' own sampler, the harness's per-round simulation loop and the GLM
-learners as first written, each with its own refit, as references, with
+widths, per-index stage scores, regret of one round, scalar reward draws,
+the SupCB-GLM round recorder and partition check, the inverse consistency
+error, the trace file reader), and as references the CSV writers as first
+written, row by row, the instrumented UCB-GLM runner's own loop, the
+validation checks' own sampler, the harness's per-round simulation loop
+and the GLM learners as first written, each with its own refit, with
 SupCB-GLM also in its first fit-every-stage order.
 """
 
@@ -295,6 +296,59 @@ def consistency_error(state) -> float:
     """Max-entry deviation of V @ inverse() from the identity for a
     DesignState; raises SingularDesignError below the eigenvalue floor."""
     return float(np.abs(state.V @ state.inverse() - np.eye(state.d)).max())
+
+
+def reference_trace_csv(trace) -> str:
+    """A trace file's text as ``harness.emit_trace_csv`` first wrote it, one
+    row and one element at a time; the byte-identity reference for the
+    column-wise writer."""
+    from glmbandit.harness import TRACE_HEADER, fmt
+
+    lines = [TRACE_HEADER]
+    for i in range(len(trace.ts)):
+        stage = "" if trace.stages[i] < 0 else str(int(trace.stages[i]))
+        lines.append(
+            ",".join(
+                (
+                    str(int(trace.ts[i])),
+                    str(int(trace.arms[i])),
+                    str(int(trace.optimal_arms[i])),
+                    fmt(float(trace.rewards[i])),
+                    fmt(float(trace.inst_regret[i])),
+                    fmt(float(trace.cum_regret[i])),
+                    str(int(trace.mle_converged[i])),
+                    stage,
+                )
+            )
+        )
+    return "\n".join(lines) + "\n"
+
+
+def reference_summary_csv(result) -> str:
+    """summary.csv's text as ``harness.emit_csv`` first wrote it, one row
+    and one element at a time; the byte-identity reference for the
+    column-wise writer."""
+    from glmbandit.harness import SUMMARY_HEADER, fmt
+
+    summary = result.summary
+    lines = [SUMMARY_HEADER]
+    for name in result.spec.algorithms:
+        stat = summary.stats[name]
+        for i, t in enumerate(summary.ts):
+            lines.append(
+                ",".join(
+                    (
+                        name,
+                        str(int(t)),
+                        fmt(float(stat["mean"][i])),
+                        fmt(float(stat["std"][i])),
+                        fmt(float(stat["min"][i])),
+                        fmt(float(stat["max"][i])),
+                        str(summary.n_reps),
+                    )
+                )
+            )
+    return "\n".join(lines) + "\n"
 
 
 def parse_trace_csv(path: str):

@@ -301,3 +301,66 @@ def test_sample_log_matches_the_reference_sampler(
         want = reference_draw_sample(link, n, d, noise, sig, dist, theta, master_seed, rep)
         for a, b in zip(got, want, strict=True):
             assert np.array_equal(a, b)
+
+
+# Linear predictors where the links saturate and the sigmoid's exp(-|z|)
+# leaves the normal range (it underflows to 0 past 745).
+_EDGE_PREDICTORS = [0.0, -0.0, 40.0, -40.0, 745.0, -745.0, 746.0, -746.0]
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    world=st.sampled_from(
+        [(IDENTITY, "gaussian"), (LOGISTIC, "bernoulli"), (LOGISTIC, "gaussian"),
+         (PROBIT, "gaussian")]
+    ),
+    d=st.integers(1, 40),
+    n=st.integers(0, 64),
+    layout=st.sampled_from(["contiguous", "fancy", "row_strided", "column_strided", "table"]),
+    edges=st.lists(st.tuples(st.integers(0, 63), st.sampled_from(_EDGE_PREDICTORS)), max_size=8),
+    ties=st.lists(st.integers(0, 63), max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_stacked_reward_matches_one_call_per_row(world, d, n, layout, edges, ties, seed):
+    # One stacked call gives every row the bits of a call on that row alone.
+    link, noise_kind = world
+    gen = np.random.default_rng(seed)
+    theta = gen.uniform(-3.0, 3.0, d)
+    theta[0] = 1.0  # a row z * e_1 has the linear predictor z
+    env = Environment.build(
+        d=d, K=1, link=link, noise=noise_kind, sigma=0.7, context_dist="uniform_ball",
+        theta_norm=1.0, master_seed=seed, replication=0, theta_star=theta,
+    )
+    rows = gen.uniform(-1.0, 1.0, (n, d))
+    for i, z in edges:
+        if i < n:
+            rows[i] = 0.0
+            rows[i, 0] = z
+    noise = gen.random(n) if noise_kind == "bernoulli" else gen.standard_normal(n)
+    for i in ties:
+        if i < n:  # a Bernoulli draw exactly at the row's mean
+            noise[i] = env.mean_reward(rows[i])
+    if layout == "fancy":
+        order = gen.permutation(n)
+        rows, noise = rows[order], noise[order]
+    elif layout == "row_strided":
+        wide = np.full((2 * n, d), np.nan)
+        wide[::2] = rows
+        rows = wide[::2]
+    elif layout == "column_strided":
+        wide = np.full((n, 2 * d), np.nan)
+        wide[:, ::2] = rows
+        rows = wide[:, ::2]
+    if layout == "table":  # the harness's (rounds, K, d) form, one noise value per round
+        K = 1 + seed % 4
+        stack = rows[: n // K * K].reshape(-1, K, d)
+        got = env.sample_reward(stack, noise[: len(stack), None])
+        want = [[env.sample_reward(x, u) for x in xs] for xs, u in zip(stack, noise)]
+        shape = stack.shape[:2]
+    else:
+        got = env.sample_reward(rows, noise)
+        want = [env.sample_reward(x, u) for x, u in zip(rows, noise)]
+        shape = (n,)
+    want = np.array(want, dtype=float).reshape(shape)
+    assert type(got) is np.ndarray and got.dtype == np.float64 and got.shape == shape
+    assert got.tobytes() == want.tobytes()

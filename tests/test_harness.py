@@ -34,7 +34,12 @@ from glmbandit.links import get_link
 from glmbandit.policies import PolicyConfig, alpha_from_rule, make_policy
 from glmbandit.validation import ValidationSpec
 
-from oracles import parse_trace_csv, reference_simulate
+from oracles import (
+    parse_trace_csv,
+    reference_simulate,
+    reference_summary_csv,
+    reference_trace_csv,
+)
 
 
 def base_spec(**overrides):
@@ -518,6 +523,95 @@ def test_stage_column_populated_for_supcb(tmp_path):
     stages = [line.split(",")[-1] for line in lines[1:]]
     assert all(s == "" for s in stages[:30])
     assert all(s != "" for s in stages[30:])
+
+
+# Floats whose 12-digit renderings are edge cases: a signed zero, the
+# extremes of the exponent, the infinities and NaN.
+_SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+_CSV_ROWS = st.one_of(
+    st.sampled_from([1, harness.EMIT_BLOCK_ROWS, harness.EMIT_BLOCK_ROWS + 1]),
+    st.integers(1, 3 * harness.EMIT_BLOCK_ROWS),
+)
+_PLANTS = st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(_SPECIAL_FLOATS)), max_size=12)
+
+
+def _float_column(gen, n, plants):
+    column = gen.standard_normal(n) * 10.0 ** gen.integers(-20, 20, n)
+    for i, value in plants:
+        column[i % n] = value
+    return column
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=_CSV_ROWS,
+    stages=st.sampled_from(["none", "staged", "mixed"]),
+    plants=st.tuples(_PLANTS, _PLANTS, _PLANTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_trace_writer_matches_the_row_by_row_reference(tmp_path_factory, n, stages, plants, seed):
+    gen = np.random.default_rng(seed)
+    low = {"none": -1, "staged": 0, "mixed": -1}[stages]
+    high = {"none": -1, "staged": 12, "mixed": 12}[stages]
+    trace = RegretTrace(
+        algorithm="a",
+        replication=0,
+        ts=np.sort(gen.integers(1, 10**9, n)),
+        arms=gen.integers(0, 1000, n),
+        optimal_arms=gen.integers(0, 1000, n),
+        rewards=_float_column(gen, n, plants[0]),
+        inst_regret=_float_column(gen, n, plants[1]),
+        cum_regret=_float_column(gen, n, plants[2]),
+        mle_converged=gen.integers(0, 2, n),
+        stages=gen.integers(low, high + 1, n),
+    )
+    path = tmp_path_factory.mktemp("trace") / "trace.csv"
+    emit_trace_csv(trace, str(path))
+    assert path.read_bytes() == reference_trace_csv(trace).encode()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=_CSV_ROWS,
+    names=st.lists(st.sampled_from(["ucb-glm", "uniform", "oracle", "supcb-glm"]),
+                   min_size=1, max_size=4, unique=True),
+    n_reps=st.integers(1, 50),
+    plants=st.tuples(_PLANTS, _PLANTS),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_summary_writer_matches_the_row_by_row_reference(
+    tmp_path_factory, n, names, n_reps, plants, seed
+):
+    gen = np.random.default_rng(seed)
+    spec = base_spec(algorithms=names, replications=n_reps)
+    stats = {
+        name: {key: _float_column(gen, n, plants[i % 2]) for i, key in
+               enumerate(("mean", "std", "min", "max"))}
+        for name in names
+    }
+    summary = harness.AggregateSummary(
+        ts=np.sort(gen.integers(1, 10**9, n)), stats=stats, n_reps=n_reps
+    )
+    result = harness.ExperimentResult(spec=spec, summary=summary, traces=[])
+    out = tmp_path_factory.mktemp("summary")
+    emit_csv(result, str(out))
+    assert (out / "summary.csv").read_bytes() == reference_summary_csv(result).encode()
+
+
+def test_emitted_files_match_the_row_by_row_reference(tmp_path):
+    # A run with staged and unstaged traces, each longer than one block.
+    spec = base_spec(
+        algorithms=["supcb-glm", "ucb-glm", "uniform", "oracle"], T=600, tau=30,
+        link="logistic", noise="bernoulli", sigma=None, record_every=1,
+    )
+    result = run_experiment(spec)
+    written = emit_csv(result, str(tmp_path))
+    assert len(written) == 2 + len(result.traces)
+    summary = pathlib.Path(written["summary"]).read_bytes()
+    assert summary == reference_summary_csv(result).encode()
+    for trace in result.traces:
+        fname = f"trace_{trace.algorithm}_{trace.replication}.csv"
+        assert pathlib.Path(written[fname]).read_bytes() == reference_trace_csv(trace).encode()
 
 
 def test_aggregation_linearity(tmp_path):

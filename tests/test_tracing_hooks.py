@@ -78,3 +78,7 @@ def test_one_world_per_replication_draws_each_chunk_once(monkeypatch):
     assert metrics["environment.context_draws"] == math.ceil(spec.T / chunk)
     assert metrics["environment.regret_s"] > 0.0
     assert metrics["environment.rewards_s"] > 0.0
+    # Rewards are scored a chunk at a time too: one table for the learner
+    # and one call per policy that does not learn, not one per round.
+    reward_calls = [s for s in tracer.spans if s.name == "environment.Environment.sample_reward"]
+    assert len(reward_calls) <= 3 * math.ceil(spec.T / chunk)

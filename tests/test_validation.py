@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from glmbandit.errors import InvalidConfigError
+from glmbandit.errors import InvalidConfigError, SingularDesignError
 from glmbandit.links import IDENTITY, LOGISTIC
 from glmbandit.validation import (
     UcbRunStats,
@@ -221,6 +221,14 @@ def test_replication_blocks_keep_replication_order(monkeypatch):
 def test_instrumented_runs_need_rounds_after_tau():
     with pytest.raises(InvalidConfigError, match="tau"):
         run_ucb_glm_instrumented(IDENTITY, 2, 3, 50, 0.05, 0.1, 1, noise="gaussian", tau=50)
+
+
+@pytest.mark.parametrize("tau", [0, 1])
+def test_instrumented_runs_report_a_singular_design_before_any_fit(tau):
+    # tau < d leaves V singular at round tau + 1; the run says so rather
+    # than fitting an empty or rank-deficient log.
+    with pytest.raises(SingularDesignError):
+        run_ucb_glm_instrumented(IDENTITY, 2, 3, 20, 0.05, 0.1, 1, noise="gaussian", tau=tau)
 
 
 # Validation config -----------------------------------------------------------
