@@ -27,9 +27,23 @@ def weighted_norm(x: np.ndarray, a: np.ndarray) -> float:
 def weighted_norms(xs: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Row-wise sqrt(x' A x) for a stack of vectors."""
     q = np.einsum("ij,jk,ik->i", xs, a, xs)
-    if (q < _QUADFORM_SLACK).any():
+    # fmin skips NaNs as an elementwise test would; maximum is what clip calls.
+    if np.fmin.reduce(q, initial=math.inf) < _QUADFORM_SLACK:
         raise NonPositiveDefiniteError(f"quadratic form evaluated to {q.min():.3e}")
-    return np.sqrt(np.clip(q, 0.0, None))
+    return np.sqrt(np.maximum(q, 0.0, out=q), out=q)
+
+
+def norm_lower_bound(x: np.ndarray, v: np.ndarray, lambda_min: float) -> float:
+    """A lower bound on |x|_{V^{-1}} as ``weighted_norms`` computes it from
+    ``inv(v)``, from tr V alone: x'V^{-1}x >= |x|^2 / lambda_max >= |x|^2 / tr V.
+    With lambda_min at most V's least eigenvalue, k = tr V / lambda_min bounds
+    V's condition number; the bound gives up a relative 64 d^2 eps k^2 for the
+    rounding of inverse and quadratic form, and is 0 where V may be singular."""
+    if not lambda_min >= MIN_EIGENVALUE_FLOOR:
+        return 0.0
+    trace = float(v.trace())
+    slack = (v.shape[0] * trace / lambda_min) ** 2 * 2.0**-46  # 64 eps = 2^-46
+    return math.sqrt(max(float(x.dot(x)) * (1.0 - slack) / trace, 0.0))
 
 
 # solve and inv call the LAPACK gufuncs behind np.linalg.solve and np.linalg.inv
@@ -95,14 +109,15 @@ class DesignState:
             ys[: self.n] = self._ys[: self.n]
             self._xs, self._ys = xs, ys
 
-    def update(self, x: np.ndarray, y: float) -> None:
-        """Absorb one observation: V += x x' and log (x, y)."""
+    def update(self, x: np.ndarray, y: float) -> np.ndarray:
+        """Absorb one observation: V += x x' and log (x, y); return x as floats."""
         x = np.asarray(x, dtype=float)
         self._grow()
         self._xs[self.n] = x
         self._ys[self.n] = y
         self.n += 1
         self.V += x[:, None] * x
+        return x
 
     def clears_floor(self) -> bool:
         """True once lambda_min(V) has reached the eigenvalue floor; checks

@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .design import DesignState, min_eigenvalue, weighted_norm, weighted_norms
+from .design import DesignState, min_eigenvalue, norm_lower_bound, weighted_norm, weighted_norms
 from .errors import InvalidConfigError
 from .links import LinkFunction
 from .mle import MLE_TOLERANCE, mle_fit
@@ -192,8 +192,7 @@ class GlmFit:
         self.r_max = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max(initial=0.0))
 
     def update(self, x: np.ndarray, y: float) -> None:
-        self.design.update(x, y)
-        x = np.asarray(x, dtype=float)
+        x = self.design.update(x, y)
         self.r_max = max(self.r_max, math.sqrt(float(x @ x)))
         if self.score is not None:
             self.score += x * (y - float(self.link.mu(float(x @ self.theta))))
@@ -261,11 +260,12 @@ class GlmFit:
         if bound == math.inf:
             return None
         scores = contexts @ self.theta + alpha * norms
-        top = int(np.argmax(scores))
+        top = int(scores.argmax())
         spread = norms * bound
-        rivals = scores + spread
+        rivals = (scores + spread).tolist()
         rivals[top] = -math.inf
-        return top if scores[top] - spread[top] > rivals.max() else None
+        lowest = scores.item(top) - spread.item(top)
+        return top if all(lowest > rival for rival in rivals) else None
 
 
 class BasePolicy:
@@ -419,10 +419,11 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
 
 def stage_decision(
     means: Callable[[], np.ndarray],
-    widths: np.ndarray,
+    widths: np.ndarray | Callable[[], np.ndarray],
     active: list[int],
     s: int,
     T: int,
+    floor: float = 0.0,
 ) -> tuple[str, object]:
     """One pass of the staged-elimination rules at accuracy level 2^{-s}.
 
@@ -435,8 +436,13 @@ def stage_decision(
 
     The explore rule reads only the widths, so ``means``, a zero-argument
     callable giving the stage's mean estimates, is called only past it.
+    ``floor`` bounds ``active[0]``'s width from below; above 2^{-s} it settles
+    the explore rule, and ``widths``, which may be a callable, goes unread.
     """
     level = 2.0 ** (-s)
+    if floor > level:
+        return "explore", active[0]
+    widths = widths() if callable(widths) else widths
     wide = [a for a in active if widths[a] > level]
     if wide:
         return "explore", wide[0]
@@ -471,23 +477,31 @@ class SupCbGlmPolicy(BasePolicy):
         self._fits: list[GlmFit | None] = [GlmFit(link, DesignState(config.d))]
         self._fits += [None] * self.S
         self._pending: int | None = None  # stage set receiving the round
+        # Off once tr V is too large for its longest row's floor to pass 2^{-s}.
+        self._floor_live = [True] * (self.S + 1)
 
     def _stage_scores(
-        self, s: int, contexts: np.ndarray
-    ) -> tuple[Callable[[], np.ndarray], np.ndarray]:
-        """Means and widths at stage s, the means as a callable that fits on
-        Psi_s united with F when called.
+        self, s: int, contexts: np.ndarray, first: int
+    ) -> tuple[Callable[[], np.ndarray], Callable[[], np.ndarray], float]:
+        """Means and widths at stage s as callables, the means fitting on
+        Psi_s united with F when called, and a floor under arm ``first``'s
+        width from tr V (``norm_lower_bound``), or 0.
 
-        The widths read only the stage design, so a round that explores at
-        stage s never fits it.  A stage scored for the first time starts
-        its fit from a copy of F.  Raises SingularDesignError when the stage
-        design is singular.
-        """
+        A round that explores at stage s thus never fits it, nor inverts its
+        design when the floor settles the explore test.  A stage scored first
+        starts its fit from a copy of F.  The widths raise SingularDesignError
+        when the stage design is singular."""
         fit = self._fits[s]
         if fit is None:
             fit = self._fits[s] = GlmFit(self.link, self._fits[0].design.copy())
-        widths = self.config.alpha * weighted_norms(contexts, fit.design.inverse())
-        return (lambda: contexts @ self._refit(fit)), widths
+        alpha, v = self.config.alpha, fit.design.V
+        floor = 0.0
+        if self._floor_live[s]:
+            floor = alpha * norm_lower_bound(contexts[first], v, self.lambda_min_init)
+            if not floor > 2.0 ** (-s):
+                self._floor_live[s] = alpha * fit.r_max > 2.0 ** (-s) * math.sqrt(v.trace())
+        return ((lambda: contexts @ self._refit(fit)),
+                (lambda: alpha * weighted_norms(contexts, fit.design.inverse())), floor)
 
     def select(self, t: int, contexts: np.ndarray) -> int:
         cfg = self.config
@@ -502,8 +516,8 @@ class SupCbGlmPolicy(BasePolicy):
         active = list(range(cfg.K))
         s = 1
         while True:
-            means, widths = self._stage_scores(s, contexts)
-            kind, payload = stage_decision(means, widths, active, s, cfg.T)
+            means, widths, floor = self._stage_scores(s, contexts, active[0])
+            kind, payload = stage_decision(means, widths, active, s, cfg.T, floor)
             if kind == "explore":
                 arm = payload
                 self._pending = s
@@ -526,6 +540,7 @@ class SupCbGlmPolicy(BasePolicy):
         if self._pending is None:
             self._fits[0].update(x, y)
         elif self._pending >= 1:
+            self._fits[self._pending].score = None  # never certified: not kept current
             self._fits[self._pending].update(x, y)
         self._pending = None
 

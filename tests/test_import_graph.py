@@ -41,7 +41,8 @@ def test_logistic_run_and_check_load_no_scipy_and_no_pool():
 
         spec = ExperimentSpec.from_dict({
             "T": 60, "d": 2, "K": 3, "link": "logistic", "noise": "bernoulli",
-            "context_dist": "uniform_ball", "algorithms": ["ucb-glm", "uniform"],
+            "context_dist": "uniform_ball",
+            "algorithms": ["ucb-glm", "epsilon-greedy", "supcb-glm", "uniform"],
             "tau": 10, "replications": 1, "master_seed": 3,
         })
         run_experiment(spec)

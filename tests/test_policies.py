@@ -9,7 +9,15 @@ from hypothesis import given, settings, strategies as st
 
 from glmbandit import policies
 from glmbandit import rng as streams
-from glmbandit.design import DesignState, weighted_norm
+from glmbandit.design import (
+    MIN_EIGENVALUE_FLOOR,
+    DesignState,
+    inv,
+    min_eigenvalue,
+    norm_lower_bound,
+    weighted_norm,
+    weighted_norms,
+)
 from glmbandit.environment import Environment
 from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
 from glmbandit.harness import ExperimentSpec, build_environment, resolve_policy_config, simulate
@@ -532,14 +540,18 @@ def test_supcb_partition_invariant_every_round():
 
 
 def test_supcb_stage_assignment_matches_width_rule(monkeypatch):
-    # Record (t, stage, arm, width) of every exploration assignment: the
-    # wrapped rule sees the stage and widths, the per-round hook the round.
+    # Record (t, stage, arm, active set, exact widths, path) of every
+    # exploration assignment: the wrapped rule sees the stage and widths, the
+    # per-round hook the round. At alpha = 3 the tr V floor settles the
+    # explore test on some rounds and the exact widths on others; either way
+    # the arm is the lowest active one whose exact width exceeds 2^{-s}.
     explored, records = [], []
 
-    def recording_stage_decision(means, widths, active, s, T):
-        kind, payload = stage_decision(means, widths, active, s, T)
+    def recording_stage_decision(means, widths, active, s, T, floor=0.0):
+        kind, payload = stage_decision(means, widths, active, s, T, floor)
         if kind == "explore":
-            explored.append((s, payload, float(widths[payload])))
+            exact = widths() if callable(widths) else widths
+            explored.append((s, payload, list(active), exact, floor > 2.0 ** (-s)))
         return kind, payload
 
     def attach_round(rounds, t):
@@ -547,21 +559,18 @@ def test_supcb_stage_assignment_matches_width_rule(monkeypatch):
         explored.clear()
 
     monkeypatch.setattr(policies, "stage_decision", recording_stage_decision)
-    policy, log = _run_supcb(T=250, check_each_round=attach_round)
-    assert records, "no exploration assignments happened"
+    policy, log = _run_supcb(T=250, alpha=3.0, check_each_round=attach_round)
     xs = np.vstack(log["xs"])
     ys = np.array(log["ys"])
     rounds = log["rounds"]
-    checked = 0
-    for t, s, arm, width in records[:40]:
+    for t, s, arm, active, exact, _ in records:
+        assert arm == next(a for a in active if exact[a] > 2.0 ** (-s))
         members = [i - 1 for i in rounds.stage_sets[s] if i < t]
         members += [i - 1 for i in rounds.init_rounds]
         contexts = log["contexts"][t - 1]
         scores = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
-        assert scores.widths[arm] == pytest.approx(width, rel=1e-6)
-        assert width > 2.0 ** (-s)
-        checked += 1
-    assert checked > 0
+        assert scores.widths == pytest.approx(exact, rel=1e-6)
+    assert {by_floor for *_, by_floor in records} == {False, True}
 
 
 def test_supcb_stage_scores_match_pure_op():
@@ -572,9 +581,10 @@ def test_supcb_stage_scores_match_pure_op():
     rounds = log["rounds"]
     members = [i - 1 for i in rounds.stage_sets[1]] + [i - 1 for i in rounds.init_rounds]
     pure = cb_glm_scores(members, contexts, policy.config.alpha, xs, ys, LOGISTIC)
-    means, widths = policy._stage_scores(1, contexts)
+    means, widths, floor = policy._stage_scores(1, contexts, 0)
     assert np.allclose(means(), pure.means, atol=1e-6)
-    assert np.allclose(widths, pure.widths, atol=1e-8)
+    assert np.allclose(widths(), pure.widths, atol=1e-8)
+    assert floor <= widths()[0]
 
 
 def test_supcb_exploit_rounds_never_feed_fits():
@@ -608,7 +618,7 @@ def test_supcb_forced_exploit_at_stage_cap():
     policy._fits = policy._fits[:2]
     means = np.array([0.1, 0.9, 0.5])
     widths = np.full(3, 0.3)  # in (1/sqrt(T), 2^{-1}]: neither explore nor exploit
-    policy._stage_scores = lambda s, ctx: (lambda: means, widths)
+    policy._stage_scores = lambda s, ctx, first: (lambda: means, widths, 0.0)
     arm = policy.select(3, contexts)
     assert arm == 1  # forced exploit: argmax of the stage-S means
     assert policy._pending == 0
@@ -675,15 +685,62 @@ def test_supcb_widths_first_matches_fit_every_stage(shape, seed):
         assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name
 
 
-def test_supcb_explores_refit_logistic_without_fitting(monkeypatch):
+@pytest.mark.parametrize("seed", [2024, 8191])
+def test_supcb_explores_refit_logistic_without_fitting(seed, monkeypatch):
     # With the theorem3 width every post-initialization round explores at
-    # stage 1, which reads the widths alone.
-    fits = []
-    fit = policies.mle_fit
-    monkeypatch.setattr(policies, "mle_fit", lambda *a, **kw: fits.append(1) or fit(*a, **kw))
-    trace = _play_shape(SupCbGlmPolicy, REFIT_LOGISTIC_SHAPE, 2024)
+    # stage 1, which reads the widths alone, and the tr V floor settles all
+    # but at most one of them without the exact widths either.
+    calls = dict.fromkeys(["weighted_norms", "mle_fit"], 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(policies, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(policies, name, counted)
+    trace = _play_shape(SupCbGlmPolicy, REFIT_LOGISTIC_SHAPE, seed)
     assert set(trace.stages[trace.stages >= 0].tolist()) == {1}
-    assert len(fits) == 0
+    assert calls["weighted_norms"] <= 1
+    assert calls["mle_fit"] == 0
+
+
+@given(
+    d=st.integers(1, 6),
+    K=st.integers(1, 4),
+    lowest=st.floats(math.log10(MIN_EIGENVALUE_FLOOR), 2.0),
+    highest=st.floats(0.0, 4.0),
+    n_rows=st.integers(0, 20),
+    norm=st.floats(0.0, 1.0),
+    tilt=st.floats(0.0, 1.0),
+    s=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=400, deadline=None)
+def test_width_floor_never_declares_a_narrow_arm_wide(
+    d, K, lowest, highest, n_rows, norm, tilt, s, seed
+):
+    # SupCB-GLM's stage design: F, here with eigenvalues from 10^lowest (down
+    # to the singularity floor) up to 10^highest, plus rows of norm <= 1, and
+    # lambda_min read off F as the policy does. The first context leans
+    # toward V's top eigenvector, where x'V^{-1}x is nearest |x|^2 / tr V.
+    gen = np.random.default_rng(seed)
+    rotation, _ = np.linalg.qr(gen.standard_normal((d, d)))
+    eigs = 10.0 ** np.sort(gen.uniform(lowest, max(lowest, highest), size=d))
+    eigs[0] = 10.0**lowest
+    v_f = (rotation * eigs) @ rotation.T
+    v_f = 0.5 * (v_f + v_f.T)
+    rows = gen.standard_normal((n_rows, d))
+    rows *= gen.random((n_rows, 1)) / np.linalg.norm(rows, axis=1)[:, None]
+    v = v_f + rows.T @ rows
+    top = np.linalg.eigh(v)[1][:, -1]
+    lean = top + tilt * gen.standard_normal(d)
+    contexts = gen.standard_normal((K, d))
+    contexts[0] = norm * lean / max(np.linalg.norm(lean), 1e-300)
+    alpha = 2.0 ** (-s) * math.sqrt(v.trace()) * gen.uniform(0.5, 2.0)
+    floor = alpha * norm_lower_bound(contexts[0], v, min_eigenvalue(v_f))
+    width = alpha * weighted_norms(contexts, inv(v))[0]
+    assert floor <= width
+    if floor > 2.0 ** (-s):
+        assert width > 2.0 ** (-s)
 
 
 def test_ucb_runs_deterministically():
