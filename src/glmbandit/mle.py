@@ -14,12 +14,13 @@ result carries the final score vector, so the learner can keep the score
 at that fit current as its log grows.
 
 Each Newton iteration costs a floor check on the Fisher matrix that a
-Gershgorin bound settles without an eigendecomposition unless the matrix is
-near singular, one ``solve``, and one link pass (``x'theta`` and ``mu``
-once; the accepted candidate's values give the next Fisher weights) for the
-full step. Only when the full step is rejected do the halvings follow, a
-batch of candidates per link pass: on a small log all of them in one pass,
-on a large one a single candidate per pass.
+Gershgorin bound settles unless the matrix is near singular (then one
+``eigvalsh``, whose eigenvalue settles the ridged copy's check by Weyl's
+inequality unless that too is near singular), one ``solve``, and one link
+pass (``x'theta`` and ``mu`` once; the accepted candidate's values give the
+next Fisher weights) for the full step. Only when the full step is rejected
+do the halvings follow, a batch of candidates per link pass: on a small log
+all of them in one pass, on a large one a single candidate per pass.
 """
 
 from __future__ import annotations
@@ -131,6 +132,16 @@ def _clears_floor(fisher: np.ndarray) -> bool:
     return bool(bound - allowance >= FISHER_EIGENVALUE_FLOOR)
 
 
+def _ridge_clears_floor(lam: float, ridged: np.ndarray) -> bool:
+    """True when Weyl's inequality, lambda_min(F + r I) = lambda_min(F) + r,
+    proves min_eigenvalue(ridged) >= the floor from lam = min_eigenvalue(F).
+    The allowance covers both eigensolves' backward error and the ridge's
+    rounding, as ``_clears_floor``'s does, through ||F||_2 <= sum_ij |F_ij|;
+    a NaN or infinite entry or lam makes the answer False."""
+    allowance = 2.0 * _ROUNDING_SLACK * ridged.shape[0] * _EPS * float(np.abs(ridged).sum())
+    return lam + FISHER_RIDGE - allowance >= FISHER_EIGENVALUE_FLOOR
+
+
 def mle_fit(
     link: LinkFunction,
     xs: np.ndarray,
@@ -168,9 +179,10 @@ def mle_fit(
         else:
             weights = link.mu_dot(z)
         fisher = (xs * weights[:, None]).T @ xs
-        if not _clears_floor(fisher) and min_eigenvalue(fisher) < FISHER_EIGENVALUE_FLOOR:
+        if not _clears_floor(fisher) and (lam := min_eigenvalue(fisher)) < FISHER_EIGENVALUE_FLOOR:
             fisher = fisher + FISHER_RIDGE * np.eye(d)
-            if min_eigenvalue(fisher) < FISHER_EIGENVALUE_FLOOR:
+            if (not _ridge_clears_floor(lam, fisher)
+                    and min_eigenvalue(fisher) < FISHER_EIGENVALUE_FLOOR):
                 raise SingularFisherError(
                     f"Fisher matrix singular at iteration {iterations} (n={n}, d={d})"
                 )

@@ -193,9 +193,9 @@ class GlmFit:
 
     def update(self, x: np.ndarray, y: float) -> None:
         x = self.design.update(x, y)
-        self.r_max = max(self.r_max, math.sqrt(float(x @ x)))
+        self.r_max = max(self.r_max, math.sqrt(float(x.dot(x))))
         if self.score is not None:
-            self.score += x * (y - float(self.link.mu(float(x @ self.theta))))
+            self.score += x * (y - float(self.link.mu(float(x.dot(self.theta)))))
         self.dirty = True
 
     def refit(self) -> bool:
@@ -212,9 +212,12 @@ class GlmFit:
         return result.converged
 
     def bound(self) -> float:
+        return self._bound()[0]
+
+    def _bound(self) -> tuple[float, float]:
         """B with |theta_hat - theta|_V <= B for the current log's MLE
-        theta_hat and for any iterate a converged refit could return; inf
-        when the last fit cannot bound them.
+        theta_hat and for any iterate a converged refit could return, and the
+        radius R below; B is inf when the last fit cannot bound them.
 
         The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
         non-increasing in |z| for the built-in links, so on the Euclidean
@@ -228,7 +231,7 @@ class GlmFit:
         as twice the bound at the slope at theta itself.
         """
         if self.score is None:
-            return math.inf
+            return math.inf, math.inf
         v_inv = self.design.inverse()
         root_trace = math.sqrt(float(v_inv.trace()))
         # |score|_{V^{-1}}, plus the most a refit's residual score adds to it.
@@ -236,16 +239,16 @@ class GlmFit:
         score_norm += math.sqrt(self.design.d) * MLE_TOLERANCE * root_trace
         slope = float(self.link.mu_dot(self.r_max * self._theta_norm))
         if not slope > 0:
-            return math.inf
+            return math.inf, math.inf
         radius = 2.0 * score_norm / slope * root_trace
         reach = self.r_max * (self._theta_norm + radius)  # the largest |x'theta| on the ball
         if not reach < 1e150:  # a bound this wide certifies nothing; mu' could overflow
-            return math.inf
+            return math.inf, math.inf
         slope = float(self.link.mu_dot(reach))
         if not slope > 0:
-            return math.inf
+            return math.inf, math.inf
         bound = score_norm / slope
-        return bound if bound * root_trace <= radius else math.inf
+        return (bound if bound * root_trace <= radius else math.inf), radius
 
     def certified_arm(self, contexts: np.ndarray, alpha: float, norms: np.ndarray) -> int | None:
         """The arm maximizing x'theta_hat + alpha |x|_{V^{-1}} at the current
@@ -266,6 +269,27 @@ class GlmFit:
         rivals[top] = -math.inf
         lowest = scores.item(top) - spread.item(top)
         return top if all(lowest > rival for rival in rivals) else None
+
+    def certified_greedy_arm(self, contexts: np.ndarray) -> int | None:
+        """``certified_arm`` with alpha = 0, from pairwise margins:
+        (x_top - x_a)'theta_hat >= (x_top - x_a)'theta - |x_top - x_a|_{V^{-1}} B,
+        where |x_top - x_a|_{V^{-1}} <= |x_top|_{V^{-1}} + |x_a|_{V^{-1}}. That
+        norm is near 0 for near-duplicate arms, so each margin must also clear
+        the rounding of x'theta at theta and at theta_hat, d eps |x| |theta|
+        at most, with |x| <= sqrt(d) max|x_ij| and |theta_hat| <= |theta| + R.
+        """
+        bound, radius = self._bound()
+        if bound == math.inf:
+            return None
+        scores = contexts @ self.theta
+        top = int(scores.argmax())
+        norms = weighted_norms(contexts - contexts[top], self.design.inverse())
+        reach = 2.0 * self._theta_norm + radius
+        # 8 eps = 2^-49 covers the two scores per pair at each theta.
+        allowance = 2.0**-49 * self.design.d**1.5 * float(np.abs(contexts).max()) * reach
+        margins = (scores.item(top) - scores - norms * bound).tolist()
+        margins[top] = math.inf
+        return top if all(margin > allowance for margin in margins) else None
 
 
 class BasePolicy:
@@ -359,13 +383,12 @@ class _GlmFitPolicy(BasePolicy):
         """The lowest-index maximizer of x'theta_hat + alpha |x|_{V^{-1}} at
         the current log's MLE theta_hat: certified from the last fit when it
         can be, else after a refit. ``v_inv`` is V^{-1}, or None with
-        alpha = 0 to form it only for a certificate."""
+        alpha = 0 to form it only for the pairwise certificate."""
         fit = self.fit
         norms = None if v_inv is None else weighted_norms(contexts, v_inv)
         if fit.dirty and fit.score is not None:
-            if norms is None:
-                norms = weighted_norms(contexts, fit.design.inverse())
-            arm = fit.certified_arm(contexts, alpha, norms)
+            arm = (fit.certified_greedy_arm(contexts) if norms is None
+                   else fit.certified_arm(contexts, alpha, norms))
             if arm is not None:
                 return arm
         means = contexts @ self.estimate()
@@ -401,9 +424,9 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
 
     Falls back to uniform while the design is singular.  With epsilon = 0
     this is the pure-greedy baseline, identical to UCB-GLM selection with
-    alpha = 0 once the design is invertible, and like it refits the MLE
-    only when the last fit cannot certify the argmax; the certificate reads
-    V^{-1}.
+    alpha = 0 once the design is invertible. It refits the MLE only when
+    the last fit cannot certify the argmax from pairwise margins, which
+    read V^{-1} (``GlmFit.certified_greedy_arm``).
     """
 
     name = "epsilon-greedy"

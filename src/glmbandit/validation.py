@@ -339,6 +339,7 @@ def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
             if t > config.tau:
                 fit.design.inverse()
                 policy.estimate()
+                fit.score = None  # select never certifies: keep no score current
             return select(t, contexts)
 
         policy.select = refit_then_select

@@ -285,11 +285,45 @@ def test_eigensolver_runs_only_near_singular(monkeypatch):
     assert fit.converged and fit.iterations >= 2
     assert eig_calls == []
 
-    # Rank one in two dimensions: every iteration checks, adds the ridge
-    # and checks again, and lands where the reference loop lands.
+    # Rank one in two dimensions: every iteration checks and adds the ridge,
+    # whose check Weyl's inequality settles from the first eigenvalue, and
+    # lands where the reference loop, which asks the eigensolver both times,
+    # lands.
     xs, ys = np.array([[1.0, 0.0]]), np.array([0.3])
     fit = mle_fit(IDENTITY, xs, ys)
-    assert len(eig_calls) == 2 * fit.iterations
+    assert len(eig_calls) == fit.iterations
     ref = reference_mle_fit(IDENTITY, xs, ys)
     assert np.array_equal(fit.theta, ref.theta)
     assert fit.iterations == ref.iterations
+
+
+def test_indefinite_fisher_still_reaches_the_ridged_eigensolver(monkeypatch):
+    # mu(z) = -z^2 / 2 has mu'(z) = -z, so at theta = (1, -1) on the unit rows
+    # F = diag(-1, 1), indefinite with lambda_min = -1. The ridge cannot lift
+    # it to the floor, so Weyl's inequality settles nothing and the ridged
+    # matrix's own eigenvalue raises the error.
+    eig_calls = []
+
+    def counted(a):
+        eig_calls.append(a)
+        return min_eigenvalue(a)
+
+    monkeypatch.setattr(mle, "min_eigenvalue", counted)
+    curved = dataclasses.replace(
+        IDENTITY, kind="curved", mu=lambda z: -0.5 * np.square(z), mu_dot=np.negative
+    )
+    with pytest.raises(SingularFisherError):
+        mle_fit(curved, np.eye(2), np.array([0.3, -0.2]), warm_start=np.array([1.0, -1.0]))
+    assert len(eig_calls) == 2
+    assert min_eigenvalue(eig_calls[0]) == -1.0 and min_eigenvalue(eig_calls[1]) < -1e-8
+
+
+@pytest.mark.parametrize("entry", [(0, 0), (1, 1), (0, 1)])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_weyl_skip_never_settles_a_non_finite_fisher_matrix(entry, value):
+    fisher = np.array([[1.0, 0.5], [0.5, 0.25]])  # rank one: lambda_min = 0
+    ridged = fisher + mle.FISHER_RIDGE * np.eye(2)
+    assert mle._ridge_clears_floor(0.0, ridged)
+    assert not mle._ridge_clears_floor(np.nan, ridged)
+    ridged[entry] = ridged[entry[::-1]] = value
+    assert not mle._ridge_clears_floor(0.0, ridged)
