@@ -13,7 +13,6 @@ import sys
 
 import numpy as np
 
-from .environment import sub_gaussian_sigma
 from .errors import InvalidConfigError, NumericalError
 from .harness import ExperimentSpec, emit_csv, run_experiment, sweep, sweep_type, write_atomic
 from .links import get_link
@@ -85,9 +84,10 @@ def _run_check(check: str, cfg: ValidationSpec) -> dict:
             kappa=cfg.kappa,
             master_seed=cfg.master_seed,
         )
-        sigma = sub_gaussian_sigma(cfg.noise, cfg.sigma)
-        # Every run carries the kappa its tuning resolved; the check uses that one.
-        report = lemma4_event_coverage(runs, sigma, runs[0].kappa, cfg.delta).to_dict()
+        # The run owns the radius: it resolved sigma, kappa and delta and
+        # judged its rounds at them, so the check is read at the same values.
+        first = runs[0]
+        report = lemma4_event_coverage(runs, first.sigma, first.kappa, first.delta).to_dict()
         report["width_sum"] = width_sum_check(runs).to_dict()
         return report
     if check == "znorm":

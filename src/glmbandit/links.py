@@ -138,6 +138,12 @@ def get_link(kind: str) -> LinkFunction:
         ) from None
 
 
+def is_builtin(link: LinkFunction) -> bool:
+    """Whether ``link`` is the built-in link registered under its kind, and
+    so one whose mu' is known to be even and non-increasing in |z|."""
+    return _LINKS.get(link.kind) == link
+
+
 def compute_kappa(link: LinkFunction, theta_star_norm: float) -> float:
     """Smallest slope of mu over the reachable linear-predictor range.
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from .design import DesignState, min_eigenvalue, norm_lower_bound, weighted_norm, weighted_norms
 from .errors import InvalidConfigError
-from .links import LinkFunction
+from .links import LinkFunction, is_builtin
 from .mle import MLE_TOLERANCE, mle_fit
 
 ALPHA_RULES = ("explicit", "theorem2", "theorem3", "theorem4")
@@ -178,7 +178,10 @@ class GlmFit:
     After a fit that converged, it keeps what bounds the current log's MLE
     without refitting: ``score``, the score at that fit on the current log
     (the fit's final score plus x (y - mu(x'theta)) for each row added
-    since), and ``r_max``, the largest row norm in the log.
+    since), and ``r_max``, the largest row norm in the log. The bound rests
+    on a property of mu' that only the built-in links are known to have, so
+    a fit of any other link keeps no score, and bounds and certifies
+    nothing.
     """
 
     def __init__(self, link: LinkFunction, design: DesignState):
@@ -188,6 +191,8 @@ class GlmFit:
         self._theta_norm = 0.0
         self.dirty = True
         self.score: np.ndarray | None = None  # None unless theta's fit converged
+        self._certifies = is_builtin(link)
+        self._bounds: tuple[float, float] | None = None  # _bound's value until the state moves
         rows = design.features
         self.r_max = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max(initial=0.0))
 
@@ -197,6 +202,7 @@ class GlmFit:
         if self.score is not None:
             self.score += x * (y - float(self.link.mu(float(x.dot(self.theta)))))
         self.dirty = True
+        self._bounds = None
 
     def refit(self) -> bool:
         """Refit if the log grew; False when that fit did not converge."""
@@ -207,14 +213,22 @@ class GlmFit:
         )
         self.theta = result.theta
         self._theta_norm = math.sqrt(float(self.theta @ self.theta))
-        self.score = result.score.copy() if result.converged else None
+        self.score = result.score.copy() if result.converged and self._certifies else None
         self.dirty = False
+        self._bounds = None
         return result.converged
 
     def bound(self) -> float:
         return self._bound()[0]
 
     def _bound(self) -> tuple[float, float]:
+        """``_fresh_bound``'s value, computed once per state of the fit: a
+        round that certifies its arm and then reads B again pays once."""
+        if self._bounds is None:
+            self._bounds = self._fresh_bound()
+        return self._bounds
+
+    def _fresh_bound(self) -> tuple[float, float]:
         """B with |theta_hat - theta|_V <= B for the current log's MLE
         theta_hat and for any iterate a converged refit could return, and the
         radius R below; B is inf when the last fit cannot bound them.

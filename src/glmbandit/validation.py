@@ -45,7 +45,7 @@ from .harness import (
 )
 from .links import LinkFunction, compute_kappa
 from .mle import mle_fit
-from .policies import check_config
+from .policies import GlmFit, check_config
 
 
 @dataclass
@@ -309,16 +309,40 @@ def proposition1_growth(
 
 @dataclass
 class UcbRunStats:
-    """Instrumented UCB-GLM trajectory for inequality checks."""
+    """Instrumented UCB-GLM trajectory for the lemma4 and width-sum checks.
+
+    The run owns the lemma4 radius r_t = estimate_ellipsoid_bound(d, t,
+    sigma, kappa, delta) at the sigma, kappa and delta its tuning resolved,
+    and judges every round past tau against it. A round's interval is
+
+        [lo, hi] = |theta_ref - theta*|_{V_t} -+ B,
+
+    with theta_ref the last fit and B its ``GlmFit.bound()``, so it holds
+    |theta_hat_t - theta*|_{V_t} for the current log's MLE and for any
+    iterate a converged refit could return. hi <= r_t + 1e-12 is a hit and
+    lo > r_t + 1e-12 a miss. A round whose interval straddles the radius
+    refits, records the fresh fit's interval, and is judged by the fresh
+    iterate's exact norm. ``within`` holds each round's verdict.
+    """
 
     d: int
     tau: int
-    kappa: float  # the run's resolved kappa, for the checks' bounds
+    sigma: float
+    kappa: float
+    delta: float
     lambda_min_init: float
     ts: np.ndarray
-    delta_vt_norms: np.ndarray  # |theta_hat_t - theta*|_{V_t} per round
+    lo: np.ndarray
+    hi: np.ndarray
     chosen_widths: np.ndarray  # |X_t|_{V_t^{-1}} per round
     n_nonconverged: int
+    within: np.ndarray  # per round: |theta_hat_t - theta*|_{V_t} <= r_t + 1e-12
+
+
+def _norm_interval(fit: GlmFit, theta_star: np.ndarray) -> tuple[float, float]:
+    """Centre and half-width of the interval that holds |theta_hat - theta*|_V:
+    the last fit's own distance |theta_ref - theta*|_V and its bound B."""
+    return weighted_norm(fit.theta - theta_star, fit.design.V), fit.bound()
 
 
 def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
@@ -327,28 +351,28 @@ def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
     for rep in reps:
         env = build_environment(spec, rep)
         policy = make_policies(spec, rep, ("ucb-glm",), env)["ucb-glm"]
-        config, fit, select = policy.config, policy.fit, policy.select
-        ts, delta_norms, widths = [], [], []
-
-        def refit_then_select(t: int, contexts: np.ndarray) -> int:
-            # lemma4 is about the current log's MLE, so every round past tau
-            # refits it; refit before select, which then plays from the
-            # clean fit rather than first trying to certify the arm from
-            # the last one. inverse() raises SingularDesignError before any
-            # fit, as select's own call would.
-            if t > config.tau:
-                fit.design.inverse()
-                policy.estimate()
-                fit.score = None  # select never certifies: keep no score current
-            return select(t, contexts)
-
-        policy.select = refit_then_select
+        config, fit = policy.config, policy.fit
+        ts, los, his, widths, within = [], [], [], [], []
 
         def observe(label: str, t: int, x: np.ndarray) -> None:
-            if t > config.tau:
-                ts.append(t)
-                delta_norms.append(weighted_norm(fit.theta - env.theta_star, fit.design.V))
-                widths.append(weighted_norm(x, fit.design.inverse()))
+            # select has played from the last fit, refitting only where that
+            # fit could not certify the arm; B is the bound select computed.
+            if t <= config.tau:
+                return
+            radius = estimate_ellipsoid_bound(
+                config.d, t, config.sigma, config.kappa, config.delta
+            ) + 1e-12
+            centre, bound = _norm_interval(fit, env.theta_star)
+            if centre - bound <= radius < centre + bound:  # a straddle: judge the fresh fit
+                policy.estimate()
+                centre, bound = _norm_interval(fit, env.theta_star)
+                within.append(centre <= radius)
+            else:
+                within.append(centre + bound <= radius)
+            ts.append(t)
+            los.append(centre - bound)
+            his.append(centre + bound)
+            widths.append(weighted_norm(x, fit.design.inverse()))
 
         # Only round T enters the trace; the observer keeps what the checks need.
         simulate(env, {"ucb-glm": policy}, spec.T, record_every=spec.T, observe=observe)
@@ -356,12 +380,16 @@ def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
             UcbRunStats(
                 d=spec.d,
                 tau=config.tau,
+                sigma=config.sigma,
                 kappa=config.kappa,
+                delta=config.delta,
                 lambda_min_init=float(policy.lambda_min_init),
                 ts=np.array(ts, dtype=int),
-                delta_vt_norms=np.array(delta_norms),
+                lo=np.array(los),
+                hi=np.array(his),
                 chosen_widths=np.array(widths),
                 n_nonconverged=policy.n_nonconverged,
+                within=np.array(within, dtype=bool),
             )
         )
     return runs
@@ -411,29 +439,28 @@ def lemma4_event_coverage(
 ) -> CoverageReport:
     """All-rounds coverage of the estimate-ellipsoid event on UCB-GLM runs.
 
-    A run is a hit when |theta_hat_t - theta*|_{V_t} stayed below the bound
-    at every post-initialization round.  Only runs whose initial design
-    reached lambda_min >= 1 enter the count (the event is defined on that
-    footing); excluded runs are reported.
+    A run is a hit when |theta_hat_t - theta*|_{V_t} stayed within the
+    radius at every post-initialization round. The runs own the radius:
+    each judged its rounds from its intervals at the sigma, kappa and delta
+    it resolved (``UcbRunStats``), so values that differ from a run's raise
+    InvalidConfigError rather than be checked against intervals built for
+    another radius. Only runs whose initial design reached lambda_min >= 1
+    enter the count (the event is defined on that footing); excluded runs
+    are reported.
     """
-    hits = 0
-    counted = 0
-    excluded = 0
-    hit_flags = []
     for run in runs:
-        if run.lambda_min_init < 1.0:
-            excluded += 1
-            continue
-        counted += 1
-        bounds = np.array(
-            [estimate_ellipsoid_bound(run.d, t, sigma, kappa, delta) for t in run.ts]
-        )
-        ok = bool((run.delta_vt_norms <= bounds + 1e-12).all())
-        hit_flags.append(ok)
-        hits += ok
+        if (run.sigma, run.kappa, run.delta) != (sigma, kappa, delta):
+            raise InvalidConfigError(
+                f"lemma4: the runs judged sigma, kappa, delta = "
+                f"{run.sigma!r}, {run.kappa!r}, {run.delta!r}, not "
+                f"{sigma!r}, {kappa!r}, {delta!r}"
+            )
+    counted = [run for run in runs if run.lambda_min_init >= 1.0]
+    hit_flags = [bool(run.within.all()) for run in counted]
+    excluded = len(runs) - len(counted)
     return CoverageReport(
-        replications=counted,
-        hits=hits,
+        replications=len(counted),
+        hits=sum(hit_flags),
         nominal=1.0 - delta,
         condition_satisfied=excluded == 0,
         nonconvergent=sum(run.n_nonconverged > 0 for run in runs),

@@ -489,9 +489,11 @@ def reference_run_ucb_glm_instrumented(
     master_seed: int = 0,
 ):
     """The instrumented UCB-GLM runner as first written, with its own round
-    loop and its own tuning; the bit-identity reference for
-    ``validation.run_ucb_glm_instrumented``, which now drives the harness's
-    ``simulate``."""
+    loop and its own tuning, refitting on every round past tau; the
+    reference for ``validation.run_ucb_glm_instrumented``, which drives the
+    harness's ``simulate`` and refits only where its interval straddles the
+    radius. Its ``lo`` and ``hi`` are both the exact norm of each round's
+    fit, and ``within`` judges those norms."""
     from glmbandit import rng as streams
     from glmbandit.design import weighted_norm
     from glmbandit.environment import (
@@ -501,7 +503,7 @@ def reference_run_ucb_glm_instrumented(
     )
     from glmbandit.links import compute_kappa
     from glmbandit.policies import alpha_from_rule, tau_for_ucb
-    from glmbandit.validation import UcbRunStats
+    from glmbandit.validation import UcbRunStats, estimate_ellipsoid_bound
 
     if noise == "bernoulli":
         sig = BERNOULLI_SUB_GAUSSIAN_SIGMA
@@ -542,16 +544,22 @@ def reference_run_ucb_glm_instrumented(
                 widths.append(weighted_norm(x, policy.design.inverse()))
             y = scalar_reward(env, x)
             policy.update(t, arm, x, y)
+        norms = np.array(delta_norms)
+        radii = np.array([estimate_ellipsoid_bound(d, t, sig, kap, delta) for t in ts])
         runs.append(
             UcbRunStats(
                 d=d,
                 tau=tau_val,
+                sigma=sig,
                 kappa=kap,
+                delta=delta,
                 lambda_min_init=float(policy.lambda_min_init),
                 ts=np.array(ts, dtype=int),
-                delta_vt_norms=np.array(delta_norms),
+                lo=norms,
+                hi=norms,
                 chosen_widths=np.array(widths),
                 n_nonconverged=policy.n_nonconverged,
+                within=norms <= radii + 1e-12,
             )
         )
     return runs

@@ -235,7 +235,7 @@ def test_validate_lemma4_checks_with_the_runs_kappa(tmp_path, monkeypatch):
         return seen["runs"]
 
     def spy_check(runs, sigma, kappa, delta):
-        seen["kappa"] = kappa
+        seen["kappa"], seen["values"] = kappa, (sigma, kappa, delta)
         return check(runs, sigma, kappa, delta)
 
     monkeypatch.setattr(cli, "run_ucb_glm_instrumented", spy_run)
@@ -247,7 +247,7 @@ def test_validate_lemma4_checks_with_the_runs_kappa(tmp_path, monkeypatch):
     )
     assert cli_main(["validate", "--check", "lemma4", "--config", cfg,
                      "--out", str(tmp_path / "reports")]) == 0
-    assert [r.kappa for r in seen["runs"]] == [seen["kappa"]] * 2
+    assert [(r.sigma, r.kappa, r.delta) for r in seen["runs"]] == [seen["values"]] * 2
     assert seen["kappa"] == compute_kappa(LOGISTIC, 2.0)
 
 

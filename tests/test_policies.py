@@ -21,7 +21,7 @@ from glmbandit.design import (
 from glmbandit.environment import Environment
 from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
 from glmbandit.harness import ExperimentSpec, build_environment, resolve_policy_config, simulate
-from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, get_link
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, LinkFunction, get_link
 from glmbandit.policies import (
     EpsilonGreedyPolicy,
     PolicyConfig,
@@ -853,6 +853,47 @@ def test_lazy_refit_fits_under_30_percent_of_fit_rounds(new_cls, ref_cls, monkey
     assert fit_rounds > 1000
     # epsilon-greedy's pairwise certificate fits on 389 of 1 786 fit rounds.
     assert len(fits) < (0.3 if new_cls is UcbGlmPolicy else 0.25) * fit_rounds
+
+
+# mu(z) = sigma(z + 3): a logistic-kind link whose mu' is not even, so the
+# certificates' bound does not hold for it.
+SHIFTED_LOGISTIC = LinkFunction(
+    kind="logistic",
+    mu=lambda z: LOGISTIC.mu(np.asarray(z, dtype=float) + 3.0),
+    mu_dot=lambda z: LOGISTIC.mu_dot(np.asarray(z, dtype=float) + 3.0),
+    mu_ddot=lambda z: LOGISTIC.mu_ddot(np.asarray(z, dtype=float) + 3.0),
+    lipschitz_bound=0.25,
+    curvature_bound=0.25,
+)
+
+
+@pytest.mark.parametrize("new_cls, ref_cls", LAZY_LEARNERS, ids=["ucb-glm", "epsilon-greedy"])
+def test_a_link_that_is_not_built_in_refits_every_round(new_cls, ref_cls, monkeypatch):
+    fits = []
+    fit = policies.mle_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "mle_fit", counted)
+    monkeypatch.setattr(policies, "mle_fit", counted)
+    cfg = PolicyConfig(T=400, d=3, K=5, alpha=0.5, tau=10, kappa=0.1, sigma=0.5, delta=0.05,
+                       epsilon=0.1)
+    counts = {}
+    for name, link in {"built-in": LOGISTIC, "shifted": SHIFTED_LOGISTIC}.items():
+        world = (link, "bernoulli", 0.5)
+        # The reference fits on every round that needs an estimate.
+        ref = _play(ref_cls, world, "uniform_ball", cfg, 2024)
+        fit_rounds = len(fits)
+        fits.clear()
+        new = _play(new_cls, world, "uniform_ball", cfg, 2024)
+        for field in dataclasses.fields(ref):
+            assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name
+        counts[name] = (len(fits), fit_rounds)
+        fits.clear()
+    assert counts["built-in"][0] < counts["built-in"][1]
+    assert counts["shifted"][0] == counts["shifted"][1] > 300
 
 
 def _ball_rows(gen, n, d, scale):

@@ -6,7 +6,7 @@ import importlib.util
 import math
 from pathlib import Path
 
-from glmbandit import harness, validation
+from glmbandit import harness, policies, validation
 from glmbandit.links import LOGISTIC
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -19,7 +19,20 @@ def _load_tracing():
     return module
 
 
-def test_tracer_wraps_every_named_hook_and_restores_it():
+def test_tracer_wraps_every_named_hook_and_restores_it(monkeypatch):
+    # The fits the run makes, counted untraced: UCB-GLM refits only on the
+    # rounds its last fit cannot certify, and lemma4 on its straddles.
+    fits = []
+    fit = policies.mle_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(policies, "mle_fit", counted)
+        validation.run_ucb_glm_instrumented(LOGISTIC, 2, 3, 40, 0.05, None, 1,
+                                            noise="bernoulli", tau=10)
     tracing = _load_tracing()
     originals = {
         (module, attr): getattr(module, attr) for module, attr, _ in tracing.MODULE_FUNCTIONS
@@ -43,10 +56,10 @@ def test_tracer_wraps_every_named_hook_and_restores_it():
     metrics = tracing.layer_metrics(tracer.spans)
     assert metrics["validation.mc_reps"] == 1.0
     assert metrics["policies.selects"] == 40.0
-    # The refit and the design updates stay visible to the tracer: tau=10
-    # leaves 30 fitted rounds, and all 40 rounds update the design.
+    # The refits and the design updates stay visible to the tracer: tau=10
+    # leaves 30 rounds that may fit, and all 40 rounds update the design.
     assert metrics["policies.update_self_s"] > 0.0
-    assert metrics["mle.fits"] == 30.0
+    assert 0 < metrics["mle.fits"] == len(fits) <= 30
     assert metrics["design.updates"] == 40.0
     assert metrics["harness.loop_self_s"] > 0.0
     # simulate still draws through sample_context_batch and scores through

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glmbandit import validation
 from glmbandit.errors import InvalidConfigError, SingularDesignError
 from glmbandit.links import IDENTITY, LOGISTIC
 from glmbandit.validation import (
-    UcbRunStats,
     ValidationSpec,
     estimate_ellipsoid_bound,
     lemma4_event_coverage,
@@ -135,12 +135,25 @@ def logistic_runs():
 
 
 def test_lemma4_noiseless_identity_hits_every_round():
+    # At sigma = 0 the radius is 0: the MLE must sit on theta* to within
+    # the check's 1e-12, so every round straddles, refits and is judged by
+    # its exact norm.
     runs = run_ucb_glm_instrumented(
         IDENTITY, 2, 3, 120, delta=0.05, sigma=0.0, replications=5,
         noise="gaussian", tau=12, master_seed=9,
     )
-    report = lemma4_event_coverage(runs, sigma=1e-12, kappa=1.0, delta=0.05)
+    report = lemma4_event_coverage(runs, sigma=0.0, kappa=1.0, delta=0.05)
     assert report.empirical_coverage == 1.0
+
+
+def test_lemma4_coverage_refuses_a_radius_the_runs_did_not_judge(logistic_runs):
+    from glmbandit.links import compute_kappa
+
+    kappa = compute_kappa(LOGISTIC, 1.0)
+    lemma4_event_coverage(logistic_runs, sigma=0.5, kappa=kappa, delta=0.05)
+    for values in [(1e-12, kappa, 0.05), (0.5, 0.1, 0.05), (0.5, kappa, 0.1)]:
+        with pytest.raises(InvalidConfigError, match="lemma4"):
+            lemma4_event_coverage(logistic_runs, *values)
 
 
 def test_lemma4_logistic_coverage(logistic_runs):
@@ -171,32 +184,79 @@ def test_instrumented_runs_are_deterministic():
     a = run_ucb_glm_instrumented(IDENTITY, 2, 4, 100, **kwargs)
     b = run_ucb_glm_instrumented(IDENTITY, 2, 4, 100, **kwargs)
     for ra, rb in zip(a, b):
-        assert np.array_equal(ra.delta_vt_norms, rb.delta_vt_norms)
+        assert np.array_equal(ra.lo, rb.lo)
+        assert np.array_equal(ra.hi, rb.hi)
         assert np.array_equal(ra.chosen_widths, rb.chosen_widths)
 
 
-@pytest.mark.parametrize(
-    "args, kwargs",
-    [
-        # The benchmark's lemma4 shape at its reference and held-out seeds.
-        *[
-            ((LOGISTIC, 3, 5, 2000, 0.05, None, 2),
-             dict(noise="bernoulli", theta_norm=1.0, master_seed=seed))
-            for seed in (2024, 7, 8191)
-        ],
-        ((IDENTITY, 2, 3, 120, 0.05, 0.0, 5), dict(noise="gaussian", tau=12, master_seed=9)),
-        ((LOGISTIC, 3, 4, 300, 0.1, None, 3),
-         dict(noise="bernoulli", tau=40, kappa=0.15, master_seed=21)),
-    ],
-    ids=["bench-2024", "bench-7", "bench-8191", "identity-noiseless", "explicit-tau-kappa"],
-)
-def test_instrumented_runs_match_reference_loop(args, kwargs):
+INSTRUMENTED_SHAPES = {
+    # The benchmark's lemma4 shape at its reference and held-out seeds.
+    **{
+        f"bench-{seed}": ((LOGISTIC, 3, 5, 2000, 0.05, None, 2),
+                          dict(noise="bernoulli", theta_norm=1.0, master_seed=seed))
+        for seed in (2024, 7, 8191)
+    },
+    "identity-noiseless": ((IDENTITY, 2, 3, 120, 0.05, 0.0, 5),
+                           dict(noise="gaussian", tau=12, master_seed=9)),
+    "explicit-tau-kappa": ((LOGISTIC, 3, 4, 300, 0.1, None, 3),
+                           dict(noise="bernoulli", tau=40, kappa=0.15, master_seed=21)),
+    # A radius that splits the runs (3 of 8 hit), with certified misses and
+    # about 200 straddling rounds.
+    "tight-radius": ((LOGISTIC, 3, 4, 300, 0.1, None, 8),
+                     dict(noise="bernoulli", tau=40, kappa=0.3, master_seed=21)),
+}
+
+
+def _disagreements(runs, reference) -> list[str]:
+    """Where instrumented runs part from the reference loop, which refits
+    on every round: the reference's exact norm (its ``lo``) must lie in
+    each round's [lo, hi], and the arms' widths, the initial design, the
+    nonconvergence count and each round's verdict, hence each run's, must
+    be its own."""
+    found = []
+    for run, ref in zip(runs, reference, strict=True):
+        for name in ("ts", "chosen_widths", "lambda_min_init", "n_nonconverged", "within"):
+            if not np.array_equal(getattr(run, name), getattr(ref, name)):
+                found.append(name)
+        if run.ts.shape == ref.ts.shape:
+            outside = int((~((run.lo <= ref.lo) & (ref.lo <= run.hi))).sum())
+            if outside:
+                found.append(f"{outside} exact norms outside [lo, hi]")
+    return found
+
+
+@pytest.mark.parametrize("shape", INSTRUMENTED_SHAPES)
+def test_instrumented_runs_match_reference_loop(shape):
+    args, kwargs = INSTRUMENTED_SHAPES[shape]
     runs = run_ucb_glm_instrumented(*args, **kwargs)
     reference = reference_run_ucb_glm_instrumented(*args, **kwargs)
     assert len(runs) == len(reference) == args[-1]
-    for run, ref in zip(runs, reference):
-        for f in dataclasses.fields(UcbRunStats):
-            assert np.array_equal(getattr(run, f.name), getattr(ref, f.name)), f.name
+    assert _disagreements(runs, reference) == []
+
+
+@pytest.fixture(scope="module")
+def explicit_shape_reference():
+    args, kwargs = INSTRUMENTED_SHAPES["explicit-tau-kappa"]
+    return reference_run_ucb_glm_instrumented(*args, **kwargs)
+
+
+# Planted faults in the interval |theta_ref - theta*|_V -+ B, given the
+# true centre and B. The check above must see each of them.
+PLANTED_INTERVALS = {
+    "B-dropped": lambda centre, bound: (centre, 0.0),
+    "B-halved": lambda centre, bound: (centre, bound / 2.0),
+    "centred-on-theta-star": lambda centre, bound: (0.0, bound),  # |theta* - theta*|_V
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_INTERVALS)
+def test_planted_interval_faults_are_caught(fault, explicit_shape_reference, monkeypatch):
+    real, plant = validation._norm_interval, PLANTED_INTERVALS[fault]
+    monkeypatch.setattr(validation, "_norm_interval", lambda fit, ts: plant(*real(fit, ts)))
+    monkeypatch.setenv("GLM_BANDIT_THREADS", "1")  # the patch lives in this process only
+    args, kwargs = INSTRUMENTED_SHAPES["explicit-tau-kappa"]
+    runs = run_ucb_glm_instrumented(*args, **kwargs)
+    assert _disagreements(runs, explicit_shape_reference) != []
 
 
 def test_replication_blocks_keep_replication_order(monkeypatch):
