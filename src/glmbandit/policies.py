@@ -171,6 +171,44 @@ def greedy_argmax(scores: np.ndarray, active: list[int] | None = None) -> int:
     return active[int(np.argmax(scores[active]))]
 
 
+def score_bound(
+    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float
+) -> tuple[float, float]:
+    """B with |theta_hat - theta|_V <= B for the MLE theta_hat of a log whose
+    exact score at theta is ``score``, and for any iterate a converged fit
+    could return, and the radius R below; B is inf when the score cannot
+    bound them. ``v_inv`` is V^{-1}, ``r_max`` the log's largest row norm
+    and ``theta_norm`` |theta|; theta need not be a converged fit.
+
+    The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
+    non-increasing in |z| for the built-in links, so on the Euclidean
+    ball of radius R around theta it is at most -c V with
+    c = mu'(r_max (|theta| + R)). The mean-value step then gives
+    |theta_hat - theta|_V <= |score|_{V^{-1}} / c, as long as the bound
+    keeps inside the ball: B sqrt(tr V^{-1}) <= R, since
+    lambda_min(V) >= 1 / tr(V^{-1}). A converged iterate has a score of
+    sup-norm at most MLE_TOLERANCE, which moves it at most
+    sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c from theta_hat. R is taken
+    as twice the bound at the slope at theta itself.
+    """
+    root_trace = math.sqrt(float(v_inv.trace()))
+    # |score|_{V^{-1}}, plus the most a converged fit's residual score adds to it.
+    score_norm = weighted_norm(score, v_inv)
+    score_norm += math.sqrt(len(score)) * MLE_TOLERANCE * root_trace
+    slope = float(link.mu_dot(r_max * theta_norm))
+    if not slope > 0:
+        return math.inf, math.inf
+    radius = 2.0 * score_norm / slope * root_trace
+    reach = r_max * (theta_norm + radius)  # the largest |x'theta| on the ball
+    if not reach < 1e150:  # a bound this wide certifies nothing; mu' could overflow
+        return math.inf, math.inf
+    slope = float(link.mu_dot(reach))
+    if not slope > 0:
+        return math.inf, math.inf
+    bound = score_norm / slope
+    return (bound if bound * root_trace <= radius else math.inf), radius
+
+
 class GlmFit:
     """A design and the MLE on its log, warm-started from the last fit
     (zeros before the first) and refit only after the log grew.
@@ -222,47 +260,14 @@ class GlmFit:
         return self._bound()[0]
 
     def _bound(self) -> tuple[float, float]:
-        """``_fresh_bound``'s value, computed once per state of the fit: a
-        round that certifies its arm and then reads B again pays once."""
+        """``score_bound`` at the last fit, or inf when it kept no score,
+        computed once per state of the fit: a round that certifies its arm
+        and then reads B again pays once."""
         if self._bounds is None:
-            self._bounds = self._fresh_bound()
+            self._bounds = (math.inf, math.inf) if self.score is None else score_bound(
+                self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm
+            )
         return self._bounds
-
-    def _fresh_bound(self) -> tuple[float, float]:
-        """B with |theta_hat - theta|_V <= B for the current log's MLE
-        theta_hat and for any iterate a converged refit could return, and the
-        radius R below; B is inf when the last fit cannot bound them.
-
-        The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
-        non-increasing in |z| for the built-in links, so on the Euclidean
-        ball of radius R around theta it is at most -c V with
-        c = mu'(r_max (|theta| + R)). The mean-value step then gives
-        |theta_hat - theta|_V <= |score|_{V^{-1}} / c, as long as the bound
-        keeps inside the ball: B sqrt(tr V^{-1}) <= R, since
-        lambda_min(V) >= 1 / tr(V^{-1}). A refit's iterate has a score of
-        sup-norm at most MLE_TOLERANCE, which moves it at most
-        sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c from theta_hat. R is taken
-        as twice the bound at the slope at theta itself.
-        """
-        if self.score is None:
-            return math.inf, math.inf
-        v_inv = self.design.inverse()
-        root_trace = math.sqrt(float(v_inv.trace()))
-        # |score|_{V^{-1}}, plus the most a refit's residual score adds to it.
-        score_norm = weighted_norm(self.score, v_inv)
-        score_norm += math.sqrt(self.design.d) * MLE_TOLERANCE * root_trace
-        slope = float(self.link.mu_dot(self.r_max * self._theta_norm))
-        if not slope > 0:
-            return math.inf, math.inf
-        radius = 2.0 * score_norm / slope * root_trace
-        reach = self.r_max * (self._theta_norm + radius)  # the largest |x'theta| on the ball
-        if not reach < 1e150:  # a bound this wide certifies nothing; mu' could overflow
-            return math.inf, math.inf
-        slope = float(self.link.mu_dot(reach))
-        if not slope > 0:
-            return math.inf, math.inf
-        bound = score_norm / slope
-        return (bound if bound * root_trace <= radius else math.inf), radius
 
     def certified_arm(self, contexts: np.ndarray, alpha: float, norms: np.ndarray) -> int | None:
         """The arm maximizing x'theta_hat + alpha |x|_{V^{-1}} at the current

@@ -12,7 +12,8 @@ widths, per-index stage scores, regret of one round, scalar reward draws,
 the SupCB-GLM round recorder and partition check, the inverse consistency
 error, the trace file reader), and as references the CSV writers as first
 written, row by row, the instrumented UCB-GLM runner's own loop, the
-validation checks' own sampler, the harness's per-round simulation loop
+theorem1 check's fit-everything loop, the validation checks' own sampler,
+the harness's per-round simulation loop
 and the GLM learners as first written, each with its own refit, with
 SupCB-GLM also in its first fit-every-stage order.
 """
@@ -27,9 +28,21 @@ from scipy.special import ndtr
 
 from glmbandit.design import DesignState, min_eigenvalue, weighted_norms
 from glmbandit.errors import InvalidConfigError, SingularDesignError
-from glmbandit.links import LinkFunction
+from glmbandit.links import LOGISTIC, LinkFunction
 from glmbandit.mle import mle_fit
 from glmbandit.policies import BasePolicy, PolicyConfig, greedy_argmax, stage_decision
+
+
+# mu(z) = sigma(z + 3): a logistic-kind link whose mu' is not even, so the
+# certificates' bound does not hold for it.
+SHIFTED_LOGISTIC = LinkFunction(
+    kind="logistic",
+    mu=lambda z: LOGISTIC.mu(np.asarray(z, dtype=float) + 3.0),
+    mu_dot=lambda z: LOGISTIC.mu_dot(np.asarray(z, dtype=float) + 3.0),
+    mu_ddot=lambda z: LOGISTIC.mu_ddot(np.asarray(z, dtype=float) + 3.0),
+    lipschitz_bound=0.25,
+    curvature_bound=0.25,
+)
 
 
 def _log_partition(kind: str, z: np.ndarray) -> np.ndarray:
@@ -596,6 +609,67 @@ def reference_draw_sample(
     else:
         ys = means + sigma * rew_gen.standard_normal(n)
     return xs, ys, ys - means
+
+
+def reference_theorem1_coverage(
+    link,
+    d: int,
+    n: int,
+    sigma: float | None,
+    delta: float,
+    directions: np.ndarray,
+    replications: int,
+    *,
+    noise: str = "gaussian",
+    context_dist: str = "uniform_ball",
+    theta_norm: float = 1.0,
+    theta_star: np.ndarray | None = None,
+    master_seed: int = 0,
+):
+    """The theorem1 check as first written, one replication after another:
+    every replication draws its log with its own sampler, fits the MLE to
+    convergence with the reference Newton loop, and judges each direction's
+    exact gap. The reference for ``validation.theorem1_coverage``, which
+    certifies most verdicts from the first Newton iterate."""
+    from glmbandit.environment import Environment, sub_gaussian_sigma
+    from glmbandit.links import compute_kappa
+    from glmbandit.validation import CoverageReport, normality_condition_threshold
+
+    sig = sub_gaussian_sigma(noise, sigma)
+    directions = np.asarray(directions, dtype=float)
+    hit_flags, condition = [], True
+    for rep in range(replications):
+        env = Environment.build(
+            d=d, K=1, link=link, noise=noise, sigma=sig, context_dist=context_dist,
+            theta_norm=theta_norm, theta_star=theta_star, master_seed=master_seed,
+            replication=rep,
+        )
+        xs, ys, _ = reference_draw_sample(
+            link, n, d, noise, sig, context_dist, env.theta_star, master_seed, rep
+        )
+        kappa = compute_kappa(link, float(np.linalg.norm(env.theta_star)))
+        v = xs.T @ xs
+        lam = min_eigenvalue(v)
+        condition &= bool(lam >= normality_condition_threshold(link, d, sig, delta, kappa))
+        fit = reference_mle_fit(link, xs, ys)
+        if not fit.converged:
+            continue
+        gaps = np.abs(directions @ (fit.theta - env.theta_star))
+        widths = weighted_norms(directions, np.linalg.inv(v))
+        bound = (3.0 * sig / kappa) * math.sqrt(math.log(1.0 / delta)) * widths
+        hit_flags.append(bool((gaps <= bound + 1e-12).all()))
+    return CoverageReport(
+        replications=len(hit_flags),
+        hits=sum(hit_flags),
+        nominal=1.0 - 3.0 * delta,
+        condition_satisfied=condition,
+        nonconvergent=replications - len(hit_flags),
+        hit_flags=hit_flags,
+        details={
+            "check": "theorem1", "n": n, "d": d, "sigma": sig, "delta": delta,
+            "n_directions": int(directions.shape[0]),
+        },
+    )
 
 
 def reference_simulate(

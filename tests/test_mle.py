@@ -22,6 +22,12 @@ HALVING_YS = (
 ).astype(float)
 HALVING_START = np.array([4.0, 4.0])
 
+# A separated log whose cold fit stops at the 100-iteration cap unconverged.
+SEPARATED_XS = np.array(
+    [[-0.03, 0.08], [-0.25, 0.56], [-0.83, 0.78], [-0.56, 0.8], [-0.17, 0.68], [-0.36, -1.0]]
+)
+SEPARATED_YS = np.array([0.0, 1.0, 1.0, 1.0, 0.0, 1.0])
+
 
 def test_orthonormal_design_recovers_least_squares():
     xs = np.eye(2)
@@ -225,6 +231,75 @@ def test_rejected_halvings_keep_the_best_candidate(monkeypatch):
 )
 def test_bit_identical_to_reference_loop_on_edge_cases(link, xs, ys, kwargs):
     assert_matches_reference(link, xs, ys, **kwargs)
+
+
+def assert_resume_is_one_fit(link, xs, ys, k, warm_start=None):
+    """A fit cut after k iterations and resumed from its iterate for the
+    other 100 - k is the single fit: same theta and score bits, the same
+    flag and as many iterations in all (or both raise)."""
+    one = fit_outcome(mle_fit, link, xs, ys, warm_start=warm_start)
+    head = fit_outcome(mle_fit, link, xs, ys, warm_start=warm_start, max_iterations=k)
+    if isinstance(head, str):
+        assert isinstance(one, str)
+        return
+    tail = fit_outcome(mle_fit, link, xs, ys, warm_start=head.theta, max_iterations=100 - k)
+    if isinstance(one, str):
+        assert isinstance(tail, str)
+        return
+    assert np.array_equal(tail.theta, one.theta)
+    assert np.array_equal(tail.score, one.score, equal_nan=True)
+    assert tail.converged == one.converged
+    assert head.iterations + tail.iterations == one.iterations
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(["logistic", "probit"]),
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(1, 4),
+    extra=st.integers(0, 40),
+    flips=st.integers(0, 3),
+    start=st.sampled_from(["cold", "far"]),
+    per_batch=st.sampled_from([1, 3, 40]),
+    k=st.integers(1, 99),
+)
+def test_a_fit_resumed_from_an_iterate_is_one_fit(
+    kind, seed, d, extra, flips, start, per_batch, k
+):
+    # Logs labelled by a hyperplane with a few labels flipped: a separated
+    # one runs to the iteration cap, and from a far warm start Newton halves
+    # its steps, a batch of candidates per pass.
+    link = LINKS[kind]
+    gen = np.random.default_rng(seed)
+    n = d + extra
+    xs = gen.uniform(-1.0, 1.0, size=(n, d))
+    ys = (xs @ gen.standard_normal(d) > 0).astype(float)
+    flipped = gen.choice(n, size=min(flips, n), replace=False)
+    ys[flipped] = 1.0 - ys[flipped]
+    warm = None if start == "cold" else gen.uniform(-8.0, 8.0, size=d)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mle, "HALVING_BATCH_ELEMENTS", per_batch * n)
+        assert_resume_is_one_fit(link, xs, ys, k, warm)
+
+
+@pytest.mark.parametrize("k", [1, 2, 5, 99])
+@pytest.mark.parametrize(
+    "link, xs, ys, warm_start",
+    [
+        (LOGISTIC, HALVING_XS, HALVING_YS, HALVING_START),
+        (PROBIT, HALVING_XS, HALVING_YS, HALVING_START),
+        (LOGISTIC, np.ones((6, 1)), np.ones(6), None),
+        (LOGISTIC, SEPARATED_XS, SEPARATED_YS, None),
+    ],
+    ids=["halving-logistic", "halving-probit", "separable", "separated-to-the-cap"],
+)
+def test_edge_case_fits_resume_as_one_fit(link, xs, ys, warm_start, k):
+    assert_resume_is_one_fit(link, xs, ys, k, warm_start)
+
+
+def test_the_separated_log_runs_to_the_cap():
+    result = mle_fit(LOGISTIC, SEPARATED_XS, SEPARATED_YS)
+    assert result.iterations == 100 and not result.converged
 
 
 def candidates_per_iteration(log):

@@ -21,7 +21,7 @@ from glmbandit.design import (
 from glmbandit.environment import Environment
 from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
 from glmbandit.harness import ExperimentSpec, build_environment, resolve_policy_config, simulate
-from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, LinkFunction, get_link
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, get_link
 from glmbandit.policies import (
     EpsilonGreedyPolicy,
     PolicyConfig,
@@ -39,6 +39,7 @@ from glmbandit.policies import (
 
 import oracles
 from oracles import (
+    SHIFTED_LOGISTIC,
     FitEveryStageSupCbGlmPolicy,
     ReferenceEpsilonGreedyPolicy,
     ReferenceSupCbGlmPolicy,
@@ -853,18 +854,6 @@ def test_lazy_refit_fits_under_30_percent_of_fit_rounds(new_cls, ref_cls, monkey
     assert fit_rounds > 1000
     # epsilon-greedy's pairwise certificate fits on 389 of 1 786 fit rounds.
     assert len(fits) < (0.3 if new_cls is UcbGlmPolicy else 0.25) * fit_rounds
-
-
-# mu(z) = sigma(z + 3): a logistic-kind link whose mu' is not even, so the
-# certificates' bound does not hold for it.
-SHIFTED_LOGISTIC = LinkFunction(
-    kind="logistic",
-    mu=lambda z: LOGISTIC.mu(np.asarray(z, dtype=float) + 3.0),
-    mu_dot=lambda z: LOGISTIC.mu_dot(np.asarray(z, dtype=float) + 3.0),
-    mu_ddot=lambda z: LOGISTIC.mu_ddot(np.asarray(z, dtype=float) + 3.0),
-    lipschitz_bound=0.25,
-    curvature_bound=0.25,
-)
 
 
 @pytest.mark.parametrize("new_cls, ref_cls", LAZY_LEARNERS, ids=["ucb-glm", "epsilon-greedy"])

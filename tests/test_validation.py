@@ -21,7 +21,11 @@ from glmbandit.validation import (
     znorm_bound_check,
 )
 
-from oracles import reference_run_ucb_glm_instrumented
+from oracles import (
+    SHIFTED_LOGISTIC,
+    reference_run_ucb_glm_instrumented,
+    reference_theorem1_coverage,
+)
 
 
 def test_probe_directions_are_unit_vectors():
@@ -92,12 +96,106 @@ def test_theorem1_deterministic():
     assert a.to_dict() == b.to_dict()
 
 
+THEOREM1_SHAPES = {
+    # (args, kwargs, how many replications resume Newton past iterate 1)
+    # The benchmark's theorem1 shape at its reference and held-out seeds,
+    # where every verdict settles at iterate 1.
+    **{
+        f"bench-{seed}": ((LOGISTIC, 3, 20000, None, 0.05, probe_directions(3, 100, seed), 20),
+                          dict(noise="bernoulli", master_seed=seed), "none")
+        for seed in (2024, 8191)
+    },
+    # A bound that most replications miss (8 hits of 100): certified
+    # misses and hits next to straddles that resume.
+    "tight": ((LOGISTIC, 3, 500, None, 0.995, probe_directions(3, 100, 11), 100),
+              dict(noise="bernoulli", master_seed=11), "some"),
+    # A small log far from zero: no first iterate is close enough to bound.
+    "every-rep-resumes": ((LOGISTIC, 3, 30, None, 0.05, probe_directions(3, 20, 11), 60),
+                          dict(noise="bernoulli", theta_norm=4.0, master_seed=11), "all"),
+    # One Newton step solves the identity link's score equation.
+    "identity": ((IDENTITY, 3, 800, 0.1, 0.05, probe_directions(3, 100, 2), 100),
+                 dict(master_seed=2), "none"),
+    # A link that is not built in certifies nothing.
+    "shifted-logistic": ((SHIFTED_LOGISTIC, 3, 500, None, 0.3, probe_directions(3, 50, 5), 40),
+                         dict(noise="bernoulli", master_seed=5), "all"),
+}
+
+
+def _theorem1_with_resumes(args, kwargs, monkeypatch):
+    """The check's report at one worker, and how many fits resumed from a warm start."""
+    resumes, fit = [], validation.mle_fit
+
+    def counted(*a, **kw):
+        resumes.append(kw.get("warm_start") is not None)
+        return fit(*a, **kw)
+
+    monkeypatch.setattr(validation, "mle_fit", counted)
+    monkeypatch.setenv("GLM_BANDIT_THREADS", "1")  # the patch lives in this process only
+    return theorem1_coverage(*args, **kwargs).to_dict(), sum(resumes)
+
+
+@pytest.mark.parametrize("shape", THEOREM1_SHAPES)
+def test_theorem1_matches_reference_that_fits_to_convergence(shape, monkeypatch):
+    args, kwargs, expected = THEOREM1_SHAPES[shape]
+    report, resumed = _theorem1_with_resumes(args, kwargs, monkeypatch)
+    assert report == reference_theorem1_coverage(*args, **kwargs).to_dict()
+    replications = args[-1]
+    assert {"none": resumed == 0, "some": 0 < resumed < replications,
+            "all": resumed == replications}[expected], resumed
+
+
+@pytest.fixture(scope="module")
+def tight_theorem1_reference():
+    args, kwargs, _ = THEOREM1_SHAPES["tight"]
+    return reference_theorem1_coverage(*args, **kwargs).to_dict()
+
+
+# Planted faults in the interval |x'(theta_1 - theta*)| -+ |x|_{V^{-1}} B,
+# given the true centres and half-widths. The check above must see each.
+PLANTED_GAP_INTERVALS = {
+    "B-dropped": lambda gaps, spread: (gaps, 0.0 * spread),
+    "B-halved": lambda gaps, spread: (gaps, spread / 2.0),
+    "centred-on-theta-star": lambda gaps, spread: (0.0 * gaps, spread),  # |x'(theta* - theta*)|
+}
+
+
+@pytest.mark.parametrize("fault", PLANTED_GAP_INTERVALS)
+def test_planted_gap_interval_faults_are_caught(fault, tight_theorem1_reference, monkeypatch):
+    real, plant = validation._gap_interval, PLANTED_GAP_INTERVALS[fault]
+    monkeypatch.setattr(validation, "_gap_interval", lambda *a: plant(*real(*a)))
+    args, kwargs, _ = THEOREM1_SHAPES["tight"]
+    report, _ = _theorem1_with_resumes(args, kwargs, monkeypatch)
+    assert report != tight_theorem1_reference
+
+
 def test_condition_threshold_identity_uses_consistency_level():
     # Zero curvature bound: threshold falls back to 16 sigma^2 (d + log(1/delta)) / kappa^2.
     value = normality_condition_threshold(IDENTITY, 3, 0.1, 0.05, 1.0)
     assert value == pytest.approx(16 * 0.01 * (3 + np.log(20.0)))
     curved = normality_condition_threshold(LOGISTIC, 3, 0.5, 0.05, 0.1)
     assert curved == pytest.approx(512 * 0.0625 * 0.25 / 0.1**4 * (9 + np.log(20.0)))
+
+
+# Each check asks the shared rules about the keys it takes.
+CHECK_DOORS = {
+    "theorem1": lambda delta=0.05, replications=3: theorem1_coverage(
+        IDENTITY, 2, 30, 0.1, delta, probe_directions(2, 0), replications
+    ),
+    "znorm": lambda delta=0.05, replications=3: znorm_bound_check(
+        IDENTITY, 2, 30, 0.1, delta, replications
+    ),
+    "prop1": lambda replications=3: proposition1_growth("uniform_ball", 2, [10, 20], replications),
+}
+
+
+@pytest.mark.parametrize(
+    "check, key, value",
+    [(check, "replications", value) for check in CHECK_DOORS for value in (0, -5)]
+    + [(check, "delta", value) for check in ("theorem1", "znorm") for value in (0.0, 1.0, 1.5)],
+)
+def test_checks_reject_values_the_shared_rules_reject(check, key, value):
+    with pytest.raises(InvalidConfigError, match=key):
+        CHECK_DOORS[check](**{key: value})
 
 
 # Design eigenvalue growth -----------------------------------------------------
