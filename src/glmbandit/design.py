@@ -8,7 +8,7 @@ from copy import deepcopy
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .errors import NonPositiveDefiniteError, SingularDesignError
+from .errors import NonPositiveDefiniteError, SingularDesignError, check_config
 
 # Below this eigenvalue V is treated as singular everywhere in the package.
 MIN_EIGENVALUE_FLOOR = 1e-10
@@ -81,8 +81,7 @@ class DesignState:
     """
 
     def __init__(self, d: int):
-        if d < 1:
-            raise ValueError("dimension must be positive")
+        check_config(d=d)
         self.d = d
         self.n = 0
         self.V = np.zeros((d, d))

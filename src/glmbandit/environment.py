@@ -17,9 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng as streams
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_config
 from .links import LinkFunction, get_link
-from .policies import check_config
 
 CONTEXT_DISTRIBUTIONS = ("uniform_ball", "sphere", "gaussian_normalized", "fixed")
 NOISE_KINDS = ("bernoulli", "gaussian")

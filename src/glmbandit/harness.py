@@ -31,7 +31,7 @@ from .environment import (
     second_moment_min_eig,
     sub_gaussian_sigma,
 )
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_config
 from .links import compute_kappa, get_link
 from .policies import (
     NON_LEARNING_KINDS,
@@ -39,7 +39,6 @@ from .policies import (
     BasePolicy,
     PolicyConfig,
     alpha_from_rule,
-    check_config,
     check_supcb_horizon,
     check_tau,
     make_policy,
@@ -121,7 +120,7 @@ def _conform(name: str, value, kind):
 
 def check_spec_types(spec) -> None:
     """Check every field of a spec dataclass against its declared type,
-    then against its key's rule in ``policies.CONFIG_RULES``."""
+    then against its key's rule in ``errors.CONFIG_RULES``."""
     types = _field_types(type(spec))
     values = {f.name: getattr(spec, f.name) for f in fields(spec)}
     for name, value in values.items():

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_config
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
@@ -153,8 +153,7 @@ def compute_kappa(link: LinkFunction, theta_star_norm: float) -> float:
     either constant (identity) or symmetric and unimodal about 0, so the
     infimum sits at the interval endpoint.
     """
-    if theta_star_norm < 0:
-        raise ValueError("theta_star_norm must be nonnegative")
+    check_config(theta_norm=theta_star_norm)
     if link.kind == "identity":
         return 1.0
     return float(link.mu_dot(theta_star_norm + 1.0))

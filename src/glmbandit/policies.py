@@ -13,11 +13,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .design import DesignState, min_eigenvalue, norm_lower_bound, weighted_norm, weighted_norms
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_config
 from .links import LinkFunction, is_builtin
 from .mle import MLE_TOLERANCE, mle_fit
-
-ALPHA_RULES = ("explicit", "theorem2", "theorem3", "theorem4")
 
 POLICY_KINDS = (
     "ucb-glm",
@@ -31,34 +29,6 @@ POLICY_KINDS = (
 # Policies that do not learn: they select a whole chunk of rounds at once
 # and cost next to nothing beside a learner's refits.
 NON_LEARNING_KINDS = ("uniform", "oracle")
-
-
-# The one rule on each config key's value, asked by every door that takes
-# the key. Keys are checked in this order, so a config with several bad
-# values names the first of them here.
-_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
-_NONNEGATIVE = (lambda v: v >= 0, "must be nonnegative")
-CONFIG_RULES = {
-    "alpha_rule": (lambda v: v in ALPHA_RULES, f"must be one of {ALPHA_RULES}"),
-    **dict.fromkeys(("T", "d", "K", "n", "replications", "record_every"), _AT_LEAST_1),
-    **dict.fromkeys(("master_seed", "tau", "theta_norm", "sigma", "alpha"), _NONNEGATIVE),
-    "n_random_directions": _NONNEGATIVE,
-    "kappa": (lambda v: v > 0, "must be positive"),
-    "delta": (lambda v: 0 < v < 1, "must lie in (0, 1)"),
-    "epsilon": (lambda v: 0 <= v <= 1, "must lie in [0, 1]"),
-    "n_grid": (
-        lambda v: min(v, default=0) > 0 and sorted(v) == list(v), "must be increasing and positive"
-    ),
-}
-
-
-def check_config(**values) -> None:
-    """Raise InvalidConfigError naming the key of the first value that breaks
-    its rule in CONFIG_RULES; None, an absent key, is its door's to judge."""
-    for name, (ok, rule) in CONFIG_RULES.items():
-        value = values.get(name)
-        if value is not None and not ok(value):
-            raise InvalidConfigError(f"{name} {rule}, got {value!r}")
 
 
 def check_tau(tau: int | None, T: int) -> None:
@@ -105,7 +75,7 @@ def alpha_from_rule(
     return L_mu * sigma / kappa
 
 
-def tau_for_ucb(d: int, delta: float, sigma0_sq: float, c: float = 16.0) -> int:
+def tau_for_ucb(d: int, delta: float, sigma0_sq: float) -> int:
     """Default UCB-GLM initialization length: c * (d + log(1/delta)) / sigma0^2.
 
     The universal constant is unspecified upstream; c = 16 mirrors the
@@ -115,7 +85,7 @@ def tau_for_ucb(d: int, delta: float, sigma0_sq: float, c: float = 16.0) -> int:
     check_config(d=d, delta=delta)
     if sigma0_sq <= 0:
         raise InvalidConfigError(f"tau rule needs sigma0_sq > 0, got {sigma0_sq:.3g}")
-    tau = c * (d + math.log(1.0 / delta)) / sigma0_sq
+    tau = 16.0 * (d + math.log(1.0 / delta)) / sigma0_sq
     if not math.isfinite(tau):
         raise InvalidConfigError(f"tau rule overflows at sigma0_sq={sigma0_sq:.3g}")
     return max(d, math.ceil(tau))

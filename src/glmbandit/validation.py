@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .environment import (
     second_moment_min_eig,
     sub_gaussian_sigma,
 )
-from .errors import InvalidConfigError
+from .errors import InvalidConfigError, check_config
 from .harness import (
     ExperimentSpec,
     build_environment,
@@ -45,7 +45,7 @@ from .harness import (
 )
 from .links import LinkFunction, compute_kappa, is_builtin
 from .mle import MleResult, mle_fit
-from .policies import GlmFit, check_config, score_bound
+from .policies import GlmFit, score_bound
 
 
 @dataclass
@@ -73,8 +73,9 @@ class CoverageReport:
         p = self.empirical_coverage
         return math.sqrt(p * (1.0 - p) / self.replications)
 
-    def passes(self, slack_stderrs: float = 3.0) -> bool:
-        return self.empirical_coverage >= self.nominal - slack_stderrs * self.binomial_stderr
+    def passes(self) -> bool:
+        """Coverage within three binomial standard errors of nominal."""
+        return self.empirical_coverage >= self.nominal - 3.0 * self.binomial_stderr
 
     def to_dict(self) -> dict:
         return {
@@ -257,6 +258,10 @@ def theorem1_coverage(
         raise InvalidConfigError("theorem1 check needs n >= d")
     sig = sub_gaussian_sigma(noise, sigma)
     directions = np.asarray(directions, dtype=float)
+    if directions.shape[1:] != (d,) or not len(directions) or not np.isfinite(directions).all():
+        raise InvalidConfigError(
+            f"directions must be a finite (m, {d}) array with m >= 1, got shape {directions.shape}"
+        )
     block = functools.partial(
         _theorem1_block, n, master_seed, delta, directions, d=d, link=link, noise=noise,
         sigma=sig, context_dist=context_dist, theta_norm=theta_norm, theta_star=theta_star,
@@ -293,15 +298,7 @@ class GrowthReport:
     replications: int
 
     def to_dict(self) -> dict:
-        return {
-            "check": "prop1",
-            "n_grid": self.n_grid,
-            "quantiles": self.quantiles,
-            "sigma_min_eig": self.sigma_min_eig,
-            "median_ratio_at_largest": self.median_ratio_at_largest,
-            "passed": self.passed,
-            "replications": self.replications,
-        }
+        return {"check": "prop1", **asdict(self)}
 
 
 def _prop1_block(
@@ -529,13 +526,7 @@ class WidthSumReport:
         return self.violations == 0 and self.runs_checked > 0
 
     def to_dict(self) -> dict:
-        return {
-            "check": "width_sum",
-            "runs_checked": self.runs_checked,
-            "runs_skipped": self.runs_skipped,
-            "violations": self.violations,
-            "passed": self.passed,
-        }
+        return {"check": "width_sum", **asdict(self), "passed": self.passed}
 
 
 def width_sum_check(runs: list[UcbRunStats]) -> WidthSumReport:

@@ -354,6 +354,14 @@ def test_sweep_over_integer_param_parses_integers(tmp_path, run_config):
     assert cli_main(["sweep", "--config", run_config, "--param", "tau", "--values", "6.5"]) == 1
 
 
+def test_seed_beyond_philox_key_exits_1(tmp_path, run_config, capsys):
+    out = tmp_path / "results"
+    argv = ["run", "--config", run_config, "--out", str(out), "--seed", str(2**64)]
+    assert cli_main(argv) == 1
+    assert "master_seed" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_seed_override_changes_output(tmp_path, run_config):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     assert cli_main(["run", "--config", run_config, "--out", str(out_a), "--seed", "99"]) == 0

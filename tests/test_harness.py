@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 import glmbandit
 from glmbandit import harness
 from glmbandit import rng as streams
+from glmbandit.design import DesignState
 from glmbandit.errors import InvalidConfigError
 from glmbandit.harness import (
     ExperimentSpec,
@@ -30,9 +31,14 @@ from glmbandit.harness import (
     simulate,
     sweep,
 )
-from glmbandit.links import get_link
-from glmbandit.policies import PolicyConfig, alpha_from_rule, make_policy
-from glmbandit.validation import ValidationSpec
+from glmbandit.links import IDENTITY, LOGISTIC, compute_kappa, get_link
+from glmbandit.policies import PolicyConfig, alpha_from_rule, make_policy, tau_for_theorem4
+from glmbandit.validation import (
+    ValidationSpec,
+    probe_directions,
+    theorem1_coverage,
+    znorm_bound_check,
+)
 
 from oracles import (
     parse_trace_csv,
@@ -158,6 +164,44 @@ def test_every_door_gives_a_key_one_verdict(key, bad):
     for door in doors:
         with pytest.raises(InvalidConfigError, match=rf"\b{key}\b"):
             door()
+
+
+def _theorem1(**kwargs):
+    kwargs.setdefault("directions", probe_directions(3, 0))
+    return theorem1_coverage(IDENTITY, 3, 30, 0.1, 0.05, replications=2, **kwargs)
+
+
+# Each door below the spec parsers applies its keys' rules in full: finite
+# floats, and a master seed that keys Philox without wrapping.
+_INF = math.inf
+_DOOR_CASES = {
+    "alpha-theorem2-kappa": (
+        lambda: alpha_from_rule("theorem2", **{**_ALPHA_RULE_ARGS, "kappa": _INF}), "kappa"
+    ),
+    "alpha-explicit-alpha": (
+        lambda: alpha_from_rule("explicit", **_ALPHA_RULE_ARGS, alpha=_INF), "alpha"
+    ),
+    "tau-theorem4-kappa": (lambda: tau_for_theorem4(2, 100, 0.5, _INF), "kappa"),
+    "znorm-sigma": (lambda: znorm_bound_check(IDENTITY, 2, 30, _INF, 0.05, 3), "sigma"),
+    "theorem1-theta-norm": (lambda: _theorem1(theta_norm=_INF), "theta_norm"),
+    "theorem1-no-directions": (lambda: _theorem1(directions=np.empty((0, 3))), "directions"),
+    "theorem1-directions-wrong-d": (lambda: _theorem1(directions=np.eye(2)), "directions"),
+    "theorem1-directions-nan": (
+        lambda: _theorem1(directions=[[1.0, 0.0, 0.0], [math.nan, 0.0, 0.0]]), "directions"
+    ),
+    "kappa-norm-inf": (lambda: compute_kappa(LOGISTIC, _INF), "theta_norm"),
+    "kappa-norm-negative": (lambda: compute_kappa(LOGISTIC, -0.1), "theta_norm"),
+    "design-d-0": (lambda: DesignState(0), "d"),
+    "stream-seed-2**64": (lambda: streams.stream(2**64, 0, 0), "master_seed"),
+    "stream-seed-negative": (lambda: streams.stream(-1, 0, 0), "master_seed"),
+    "spec-seed-2**64": (lambda: base_spec(master_seed=2**64), "master_seed"),
+}
+
+
+@pytest.mark.parametrize("door, key", _DOOR_CASES.values(), ids=_DOOR_CASES)
+def test_every_door_applies_each_rule_in_full(door, key):
+    with pytest.raises(InvalidConfigError, match=rf"\b{key}\b"):
+        door()
 
 
 def _message_text(node) -> str:

@@ -1,9 +1,11 @@
-"""SciPy and the process pool load only on the paths that use them.
+"""The package's import layering, and SciPy and the process pool loading
+only on the paths that use them.
 
-Each check runs in a fresh interpreter: ``oracles`` imports SciPy, so the
-test process itself always has it loaded.
+Each load check runs in a fresh interpreter: ``oracles`` imports SciPy, so
+the test process itself always has it loaded.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -11,6 +13,40 @@ import textwrap
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+PACKAGE = SRC / "glmbandit"
+
+# The world and numeric core sit beneath the policies, the runner, the
+# checks and the command line, and never reach up into them.
+LOWER = ("errors", "rng", "links", "design", "mle", "environment")
+UPPER = ("policies", "harness", "validation", "cli")
+
+
+def relative_imports(module: str) -> set[str]:
+    """The sibling modules that ``module`` imports, by relative import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names = [node.module] if node.module else [alias.name for alias in node.names]
+            found.update(name.split(".")[0] for name in names)
+    return found
+
+
+def test_lower_modules_import_nothing_above_them():
+    reach = {module: relative_imports(module) & set(UPPER) for module in LOWER}
+    assert reach == {module: set() for module in LOWER}
+
+
+def test_config_rules_are_assigned_in_one_module():
+    assigners = [
+        path.stem
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+        if isinstance(target, ast.Name) and target.id == "CONFIG_RULES"
+    ]
+    assert assigners == ["errors"]
 
 
 def run_fresh(code: str) -> None:

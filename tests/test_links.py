@@ -90,7 +90,7 @@ def test_compute_kappa_is_grid_infimum():
 
 
 def test_compute_kappa_rejects_negative_norm():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError, match="theta_norm"):
         compute_kappa(LOGISTIC, -0.1)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glmbandit import rng as streams
+from glmbandit.errors import InvalidConfigError
 
 
 def test_same_key_reproduces():
@@ -33,7 +34,7 @@ def test_draws_do_not_depend_on_construction_order():
 
 
 def test_key_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidConfigError, match="master_seed"):
         streams.stream(-1, 0, 0)
     with pytest.raises(ValueError):
         streams.stream(0, -1, 0)
