@@ -34,7 +34,9 @@ ALPHA_RULES = ("explicit", "theorem2", "theorem3", "theorem4")
 # The one rule on each config key's value, asked by every door that takes
 # the key. Keys are checked in this order, so a config with several bad
 # values names the first of them here.
-_AT_LEAST_1 = (lambda v: v >= 1, "must be at least 1")
+# Python and NumPy integers have __index__, floats and NumPy bools have not.
+_AT_LEAST_1 = (lambda v: v.__class__ is not bool and hasattr(v, "__index__") and v >= 1,
+               "must be an integer of at least 1")
 _NONNEGATIVE = (lambda v: 0 <= v < math.inf, "must be finite and nonnegative")
 CONFIG_RULES = {
     "alpha_rule": (lambda v: v in ALPHA_RULES, f"must be one of {ALPHA_RULES}"),

@@ -7,11 +7,13 @@ The estimate solves the score equation
 by damped Newton steps with the Fisher matrix
 ``sum_i mu'(x_i' theta) x_i x_i'`` as the step matrix.  The log-likelihood
 is concave for the built-in links, so Newton with step halving is the
-standard solver. A bandit learner refits only when its last exact fit
-cannot certify the round's decision (``policies.GlmFit``), and then
-warm-starts from that fit, which keeps a fit to a few iterations. The
-result carries the final score vector, so the learner can keep the score
-at that fit current as its log grows.
+standard solver. A bandit learner fits only when its last fit cannot
+certify the round's decision (``policies.GlmFit``), warm-started from that
+fit. It takes one Newton step first (``max_iterations=1``) and certifies
+again from that iterate; only when that fails does it resume the fit for
+the rest of the MLE_MAX_ITERATIONS cap, which gives the bits of one call.
+The result carries the final score vector, so the learner can keep the
+score at its iterate current as its log grows.
 
 Each Newton iteration costs a floor check on the Fisher matrix that a
 Gershgorin bound settles unless the matrix is near singular (then one
@@ -37,6 +39,7 @@ from .links import LinkFunction
 FISHER_EIGENVALUE_FLOOR = 1e-10
 FISHER_RIDGE = 1e-8
 MLE_TOLERANCE = 1e-8  # sup-norm of the score at a converged fit
+MLE_MAX_ITERATIONS = 100  # Newton iterations in one fit, resumed or not
 
 # Candidate x row elements per batched pass of the step halving, which
 # bounds the batch's temporaries: a large log gets one candidate per pass.
@@ -148,7 +151,7 @@ def mle_fit(
     ys: np.ndarray,
     warm_start: np.ndarray | None = None,
     tolerance: float = MLE_TOLERANCE,
-    max_iterations: int = 100,
+    max_iterations: int = MLE_MAX_ITERATIONS,
 ) -> MleResult:
     """Solve the score equation; convergence is sup-norm of the score.
 

@@ -15,7 +15,7 @@ import numpy as np
 from .design import DesignState, min_eigenvalue, norm_lower_bound, weighted_norm, weighted_norms
 from .errors import InvalidConfigError, check_config
 from .links import LinkFunction, is_builtin
-from .mle import MLE_TOLERANCE, mle_fit
+from .mle import MLE_MAX_ITERATIONS, MLE_TOLERANCE, mle_fit
 
 POLICY_KINDS = (
     "ucb-glm",
@@ -183,8 +183,11 @@ class GlmFit:
     """A design and the MLE on its log, warm-started from the last fit
     (zeros before the first) and refit only after the log grew.
 
-    After a fit that converged, it keeps what bounds the current log's MLE
-    without refitting: ``score``, the score at that fit on the current log
+    A fit cut short after a few Newton iterations stands as the fit with
+    ``dirty`` still True; the next ``refit`` on the same log resumes it for
+    the rest of the MLE_MAX_ITERATIONS cap, the one call's bits. A fit that
+    converged or was cut short keeps what bounds the current log's MLE
+    without refitting: ``score``, the score at its iterate on the current log
     (the fit's final score plus x (y - mu(x'theta)) for each row added
     since), and ``r_max``, the largest row norm in the log. The bound rests
     on a property of mu' that only the built-in links are known to have, so
@@ -198,9 +201,10 @@ class GlmFit:
         self.theta = np.zeros(design.d)
         self._theta_norm = 0.0
         self.dirty = True
-        self.score: np.ndarray | None = None  # None unless theta's fit converged
+        self.score: np.ndarray | None = None  # None unless theta's fit converged or was cut
         self._certifies = is_builtin(link)
         self._bounds: tuple[float, float] | None = None  # _bound's value until the state moves
+        self._spent = 0  # Newton iterations the current log's fit has run
         rows = design.features
         self.r_max = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max(initial=0.0))
 
@@ -211,18 +215,24 @@ class GlmFit:
             self.score += x * (y - float(self.link.mu(float(x.dot(self.theta)))))
         self.dirty = True
         self._bounds = None
+        self._spent = 0
 
-    def refit(self) -> bool:
-        """Refit if the log grew; False when that fit did not converge."""
+    def refit(self, iterations: int = MLE_MAX_ITERATIONS) -> bool:
+        """Fit the log if it grew, resuming a fit cut short on it, until it
+        has run ``iterations`` Newton iterations in all; False when the fit
+        has not converged, whether cut short or out of the cap."""
         if not self.dirty:
             return True
         result = mle_fit(
-            self.link, self.design.features, self.design.rewards, warm_start=self.theta
+            self.link, self.design.features, self.design.rewards, warm_start=self.theta,
+            max_iterations=iterations - self._spent,
         )
+        self._spent += result.iterations
         self.theta = result.theta
         self._theta_norm = math.sqrt(float(self.theta @ self.theta))
-        self.score = result.score.copy() if result.converged and self._certifies else None
-        self.dirty = False
+        self.dirty = not result.converged and self._spent < MLE_MAX_ITERATIONS
+        kept = self._certifies and (result.converged or self.dirty)
+        self.score = result.score.copy() if kept else None
         self._bounds = None
         return result.converged
 
@@ -247,6 +257,13 @@ class GlmFit:
         Each arm's score at theta_hat lies within |x|_{V^{-1}} B of its score
         at the last fit, so the top arm there is certified when even its
         lowest score beats every other arm's highest.
+
+        No allowance is added for the rounding of x'theta at the last fit and
+        at the refit, d eps |x| (2 |theta| + R) at most: B's residual term
+        sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c, sized for a converged fit's
+        own score at its worst, gives each arm a spread of at least
+        sqrt(d) MLE_TOLERANCE |x| / (c lambda_max(V)), orders above that while
+        sqrt(d) c lambda_max(V) (2 |theta| + R) << MLE_TOLERANCE / eps = 4.5e7.
         """
         bound = self.bound()
         if bound == math.inf:
@@ -371,13 +388,18 @@ class _GlmFitPolicy(BasePolicy):
     def _best_arm(self, contexts: np.ndarray, alpha: float, v_inv: np.ndarray | None) -> int:
         """The lowest-index maximizer of x'theta_hat + alpha |x|_{V^{-1}} at
         the current log's MLE theta_hat: certified from the last fit when it
-        can be, else after a refit. ``v_inv`` is V^{-1}, or None with
-        alpha = 0 to form it only for the pairwise certificate."""
+        can be, else from one Newton step past it (``GlmFit.refit(1)``), and
+        only else after that fit resumes to convergence, the refit it would
+        have made in one call. ``v_inv`` is V^{-1}, or None with alpha = 0 to
+        form it only for the pairwise certificate."""
         fit = self.fit
         norms = None if v_inv is None else weighted_norms(contexts, v_inv)
         if fit.dirty and fit.score is not None:
-            arm = (fit.certified_greedy_arm(contexts) if norms is None
-                   else fit.certified_arm(contexts, alpha, norms))
+            certify = ((lambda: fit.certified_greedy_arm(contexts)) if norms is None
+                       else (lambda: fit.certified_arm(contexts, alpha, norms)))
+            arm = certify()
+            if arm is None and not fit.refit(1):  # a step cut on purpose counts nowhere
+                arm = certify()
             if arm is not None:
                 return arm
         means = contexts @ self.estimate()
@@ -390,8 +412,9 @@ class UcbGlmPolicy(_GlmFitPolicy):
     The first tau rounds pick arms uniformly at random so the design
     becomes invertible; afterwards each round plays the lowest-index
     maximizer of ``x'theta_hat + alpha |x|_{V^{-1}}`` at the MLE on the full
-    log. The round refits that MLE only when the last fit cannot certify
-    the maximizer (``GlmFit.certified_arm``).
+    log. The round fits that MLE only when the last fit cannot certify the
+    maximizer (``GlmFit.certified_arm``), and then to convergence only when
+    one Newton step cannot certify it either.
     """
 
     name = "ucb-glm"
@@ -413,9 +436,10 @@ class EpsilonGreedyPolicy(_GlmFitPolicy):
 
     Falls back to uniform while the design is singular.  With epsilon = 0
     this is the pure-greedy baseline, identical to UCB-GLM selection with
-    alpha = 0 once the design is invertible. It refits the MLE only when
-    the last fit cannot certify the argmax from pairwise margins, which
-    read V^{-1} (``GlmFit.certified_greedy_arm``).
+    alpha = 0 once the design is invertible. It fits the MLE only when the
+    last fit cannot certify the argmax from pairwise margins, which read
+    V^{-1} (``GlmFit.certified_greedy_arm``), and then to convergence only
+    when one Newton step cannot certify it either.
     """
 
     name = "epsilon-greedy"

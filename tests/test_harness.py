@@ -16,7 +16,7 @@ import glmbandit
 from glmbandit import harness
 from glmbandit import rng as streams
 from glmbandit.design import DesignState
-from glmbandit.errors import InvalidConfigError
+from glmbandit.errors import InvalidConfigError, check_config
 from glmbandit.harness import (
     ExperimentSpec,
     RegretTrace,
@@ -32,7 +32,13 @@ from glmbandit.harness import (
     sweep,
 )
 from glmbandit.links import IDENTITY, LOGISTIC, compute_kappa, get_link
-from glmbandit.policies import PolicyConfig, alpha_from_rule, make_policy, tau_for_theorem4
+from glmbandit.policies import (
+    PolicyConfig,
+    alpha_from_rule,
+    make_policy,
+    tau_for_supcb,
+    tau_for_theorem4,
+)
 from glmbandit.validation import (
     ValidationSpec,
     probe_directions,
@@ -195,6 +201,25 @@ _DOOR_CASES = {
     "stream-seed-2**64": (lambda: streams.stream(2**64, 0, 0), "master_seed"),
     "stream-seed-negative": (lambda: streams.stream(-1, 0, 0), "master_seed"),
     "spec-seed-2**64": (lambda: base_spec(master_seed=2**64), "master_seed"),
+    # The counts take integers only: not inf, a fraction or a bool.
+    "alpha-theorem2-T-inf": (
+        lambda: alpha_from_rule("theorem2", **{**_ALPHA_RULE_ARGS, "T": _INF}), "T"
+    ),
+    "alpha-theorem2-T-fraction": (
+        lambda: alpha_from_rule("theorem2", **{**_ALPHA_RULE_ARGS, "T": 100.5, "d": 2.5}), "T"
+    ),
+    "alpha-theorem2-d-fraction": (
+        lambda: alpha_from_rule("theorem2", **{**_ALPHA_RULE_ARGS, "d": 2.5}), "d"
+    ),
+    "tau-supcb-T-inf": (lambda: tau_for_supcb(2, _INF), "T"),
+    "tau-supcb-T-nan": (lambda: tau_for_supcb(2, math.nan), "T"),
+    "check-T-bool": (lambda: check_config(T=True), "T"),
+    "check-K-numpy-bool": (lambda: check_config(K=np.bool_(True)), "K"),
+    "check-n-numpy-float": (lambda: check_config(n=np.float64(3.0)), "n"),
+    "design-d-numpy-inf": (lambda: DesignState(np.float64(_INF)), "d"),
+    "check-record-every-numpy-negative": (
+        lambda: check_config(record_every=np.int64(-1)), "record_every"
+    ),
 }
 
 
@@ -202,6 +227,14 @@ _DOOR_CASES = {
 def test_every_door_applies_each_rule_in_full(door, key):
     with pytest.raises(InvalidConfigError, match=rf"\b{key}\b"):
         door()
+
+
+def test_numpy_integers_pass_the_count_rule():
+    counts = dict(T=np.int64(100), d=np.int32(2), K=np.uint8(3))
+    check_config(**counts, n=np.int64(1), replications=np.int16(2), record_every=np.int64(5))
+    args = {**_ALPHA_RULE_ARGS, **counts}
+    assert alpha_from_rule("theorem2", **args) == alpha_from_rule("theorem2", **_ALPHA_RULE_ARGS)
+    assert tau_for_supcb(np.int64(2), np.int64(100)) == tau_for_supcb(2, 100)
 
 
 def _message_text(node) -> str:

@@ -22,6 +22,7 @@ from glmbandit.environment import Environment
 from glmbandit.errors import GlmBanditError, InvalidConfigError, SingularDesignError
 from glmbandit.harness import ExperimentSpec, build_environment, resolve_policy_config, simulate
 from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, get_link
+from glmbandit.mle import MLE_MAX_ITERATIONS, MLE_TOLERANCE
 from glmbandit.policies import (
     EpsilonGreedyPolicy,
     PolicyConfig,
@@ -852,7 +853,8 @@ def test_lazy_refit_fits_under_30_percent_of_fit_rounds(new_cls, ref_cls, monkey
     fits.clear()
     _play_shape(new_cls, REFIT_LOGISTIC_LEARNERS_SHAPE, 2024)
     assert fit_rounds > 1000
-    # epsilon-greedy's pairwise certificate fits on 389 of 1 786 fit rounds.
+    # epsilon-greedy's pairwise certificate fits on 389 of 1 786 fit rounds,
+    # in 403 calls: 14 of its one-step fits resume.
     assert len(fits) < (0.3 if new_cls is UcbGlmPolicy else 0.25) * fit_rounds
 
 
@@ -883,6 +885,161 @@ def test_a_link_that_is_not_built_in_refits_every_round(new_cls, ref_cls, monkey
         fits.clear()
     assert counts["built-in"][0] < counts["built-in"][1]
     assert counts["shifted"][0] == counts["shifted"][1] > 300
+
+
+# Rounds settled from one Newton step -----------------------------------------
+
+# Newton iterations each learner ran on REFIT_LOGISTIC_LEARNERS_SHAPE at seed
+# 2024 when a round whose last fit could not certify its arm fit to
+# convergence in one call.
+ONE_CALL_ITERATIONS = {"ucb-glm": 379, "epsilon-greedy": 1075}
+# A world whose epsilon-greedy log separates at round 12 of T = 20: the step
+# taken there neither certifies nor converges, and its resumed fit runs out
+# of the cap, as every later fit does.
+SEPARABLE_WORLD = 309_012
+
+
+def _play_recording_fits(cls, shape, seed, monkeypatch):
+    """``_play_shape``'s trace and, per round, the (max_iterations,
+    iterations, converged) of each ``mle_fit`` call that select made, the
+    round's ``last_mle_converged`` and how much ``n_nonconverged`` grew."""
+    calls, rounds = [], []
+    fit, select = policies.mle_fit, cls.select
+
+    def recorded(*args, **kwargs):
+        result = fit(*args, **kwargs)
+        calls.append((kwargs["max_iterations"], result.iterations, result.converged))
+        return result
+
+    def recording_select(self, t, contexts):
+        calls.clear()
+        before = self.n_nonconverged
+        arm = select(self, t, contexts)
+        rounds.append((list(calls), self.last_mle_converged, self.n_nonconverged - before))
+        return arm
+
+    monkeypatch.setattr(policies, "mle_fit", recorded)
+    monkeypatch.setattr(cls, "select", recording_select)
+    return _play_shape(cls, shape, seed), rounds
+
+
+@pytest.mark.parametrize("cls", [UcbGlmPolicy, EpsilonGreedyPolicy], ids=["ucb-glm", "epsilon-greedy"])
+def test_rounds_settled_from_one_newton_step_count_as_converged(cls, monkeypatch):
+    trace, rounds = _play_recording_fits(cls, REFIT_LOGISTIC_LEARNERS_SHAPE, 2024, monkeypatch)
+    settled = [(flag, grew) for calls, flag, grew in rounds if calls == [(1, 1, False)]]
+    assert len(settled) > 50
+    assert set(settled) == {(True, 0)}
+    assert trace.n_nonconverged == 0
+    assert trace.mle_converged.all()
+
+
+@pytest.mark.parametrize("cls", [UcbGlmPolicy, EpsilonGreedyPolicy], ids=["ucb-glm", "epsilon-greedy"])
+def test_one_step_certificates_cut_newton_iterations(cls, monkeypatch):
+    _, rounds = _play_recording_fits(cls, REFIT_LOGISTIC_LEARNERS_SHAPE, 2024, monkeypatch)
+    iterations = sum(done for calls, _, _ in rounds for _, done, _ in calls)
+    # 180 and 453 when this guard was set.
+    assert iterations <= 0.65 * ONE_CALL_ITERATIONS[cls.name]
+
+
+def test_a_resumed_fit_out_of_the_cap_counts_once(monkeypatch):
+    shape = {**REFIT_LOGISTIC_LEARNERS_SHAPE, "T": 20}
+    ref = _play_shape(ReferenceEpsilonGreedyPolicy, shape, SEPARABLE_WORLD)
+    new, rounds = _play_recording_fits(EpsilonGreedyPolicy, shape, SEPARABLE_WORLD, monkeypatch)
+    for field in dataclasses.fields(ref):
+        assert np.array_equal(getattr(new, field.name), getattr(ref, field.name)), field.name
+    assert new.n_nonconverged == ref.n_nonconverged > 1
+    for calls, flag, grew in rounds:
+        spent = sum(done for _, done, _ in calls)
+        assert spent <= MLE_MAX_ITERATIONS
+        out_of_cap = bool(calls) and not calls[-1][2] and spent == MLE_MAX_ITERATIONS
+        assert (flag, grew) == ((False, 1) if out_of_cap else (True, 0))
+    resumed = [calls for calls, _, _ in rounds if len(calls) == 2]
+    assert [(1, 1, False), (99, 99, False)] in resumed
+    assert [(1, 1, False), (99, 1, True)] in resumed
+
+
+def _tie_at_the_step(v_inv, theta_1, theta_hat, gen):
+    """Two arms of equal |x|_{V^{-1}} in one order at theta_1 and in the
+    other at theta_hat: p + w/2 and p - w/2 with w'(theta_1 + theta_hat) = 0
+    and p'V^{-1}w = 0, whose scores differ by +-w'(theta_1 - theta_hat)/2."""
+    gap, mid = theta_1 - theta_hat, theta_1 + theta_hat
+    w = gap - (gap @ mid) / (mid @ mid) * mid
+    w /= np.linalg.norm(w)
+    q = gen.standard_normal(len(w))
+    p = q - (q @ v_inv @ w) / (w @ v_inv @ w) * w
+    return np.array([p + w / 2, p - w / 2])
+
+
+@pytest.mark.parametrize(
+    "cls, alpha", [(UcbGlmPolicy, 0.0), (UcbGlmPolicy, 1.0), (EpsilonGreedyPolicy, 0.0)],
+    ids=["ucb-glm-alpha-0", "ucb-glm-alpha-1", "greedy"],
+)
+@pytest.mark.parametrize("seed", [5, 6, 7])
+def test_a_step_that_cannot_certify_resumes_to_the_refit_arm(cls, alpha, seed, monkeypatch):
+    # The arms tie so closely that the step's iterate theta_1 and the MLE
+    # order them differently: only the bound B at theta_1 keeps the round
+    # from playing theta_1's arm.
+    gen = np.random.default_rng(seed)
+    xs, ys = _random_log(gen, LOGISTIC, 63, 3, 1.0)
+    policy = cls(config(d=3, alpha=alpha, tau=0), LOGISTIC, policy_rng())
+    for x, y in zip(xs[:60], ys[:60]):
+        policy.update(0, 0, x, y)
+    policy.estimate()
+    for x, y in zip(xs[60:], ys[60:]):
+        policy.update(0, 0, x, y)
+    step = reference_mle_fit(LOGISTIC, xs, ys, warm_start=policy.fit.theta, max_iterations=1)
+    exact = reference_mle_fit(LOGISTIC, xs, ys, warm_start=policy.fit.theta)
+    assert exact.converged and not step.converged
+    v_inv = inv(policy.fit.design.V)
+    contexts = _tie_at_the_step(v_inv, step.theta, exact.theta, gen)
+    widths = alpha * weighted_norms(contexts, v_inv)
+    assert greedy_argmax(contexts @ step.theta + widths) == 0
+    assert greedy_argmax(contexts @ exact.theta + widths) == 1
+    cuts = []
+    fit = policies.mle_fit
+    monkeypatch.setattr(policies, "mle_fit", lambda *a, **kw: cuts.append(kw["max_iterations"])
+                        or fit(*a, **kw))
+    assert policy.select(1, contexts) == 1
+    assert cuts == [1, MLE_MAX_ITERATIONS - 1]
+    assert policy.last_mle_converged and not policy.fit.dirty
+
+
+def _stepped_fit(xs, ys, n_fit):
+    """A fit converged on the first ``n_fit`` rows, then one Newton step on all."""
+    fit = policies.GlmFit(LOGISTIC, DesignState(xs.shape[1]))
+    for x, y in zip(xs[:n_fit], ys[:n_fit]):
+        fit.update(x, y)
+    fit.refit()
+    for x, y in zip(xs[n_fit:], ys[n_fit:]):
+        fit.update(x, y)
+    last, last_bound = fit.theta, fit.bound()
+    assert not fit.refit(1)
+    return fit, last, last_bound
+
+
+def test_a_step_keeps_the_score_and_bound_at_its_own_iterate():
+    xs, ys = _random_log(np.random.default_rng(3), LOGISTIC, 66, 3, 1.0)
+    fit, last, last_bound = _stepped_fit(xs[:63], ys[:63], 60)
+    assert fit.dirty
+    # A pass at theta_1 alone gives the score the step ended on.
+    at_step = policies.mle_fit(LOGISTIC, xs[:63], ys[:63], warm_start=fit.theta, max_iterations=0)
+    assert np.array_equal(fit.score, at_step.score)
+    theta_norm = math.sqrt(float(fit.theta @ fit.theta))
+    bound = policies.score_bound(LOGISTIC, at_step.score, inv(fit.design.V), fit.r_max, theta_norm)
+    assert fit.bound() == bound[0] < last_bound
+    # Resumed on the same log, the fit is the one call from the last fit.
+    assert fit.refit() and not fit.dirty
+    one_call = policies.mle_fit(LOGISTIC, xs[:63], ys[:63], warm_start=last)
+    assert np.array_equal(fit.theta, one_call.theta)
+    # A step kept as the fit keeps its score current as the log grows, and
+    # the grown log's fit starts afresh from it.
+    fit, _, _ = _stepped_fit(xs[:63], ys[:63], 60)
+    step = fit.theta
+    for x, y in zip(xs[63:], ys[63:]):
+        fit.update(x, y)
+    assert np.allclose(fit.score, oracles.score_vector(LOGISTIC, xs, ys, step), rtol=0, atol=1e-12)
+    assert fit.refit()
+    assert np.array_equal(fit.theta, policies.mle_fit(LOGISTIC, xs, ys, warm_start=step).theta)
 
 
 def _ball_rows(gen, n, d, scale):
@@ -965,3 +1122,58 @@ def test_greedy_certificate_names_the_refit_argmax(link, d, K, n_fit, n_new, sca
             refit = refit or reference_mle_fit(link, xs, ys, warm_start=fit.theta)
             assert refit.converged
             assert arm == greedy_argmax(contexts @ refit.theta)
+
+
+@given(
+    link=st.sampled_from([IDENTITY, LOGISTIC, PROBIT]),
+    d=st.integers(1, 4),
+    K=st.integers(2, 10),
+    n_fit=st.integers(12, 120),
+    n_new=st.integers(1, 6),
+    scale=st.sampled_from([1.0, 2.0, 4.0]),
+    alpha=st.sampled_from([0.0, 0.5, 2.0]),
+    offset=st.sampled_from([1e-13, 1e-15, 1e-16]),
+    seed=st.integers(0, 2**16),
+)
+@settings(max_examples=60, deadline=None)
+def test_ucb_certificate_spread_dwarfs_the_rounding(
+    link, d, K, n_fit, n_new, scale, alpha, offset, seed
+):
+    # certified_arm adds no allowance for the rounding of x'theta, at most
+    # d eps |x| (2|theta| + R) at theta and at the refit. B's residual term
+    # sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c, with c <= mu'(0), must give
+    # each arm a spread orders above it: at a converged fit and at one Newton
+    # step past it, on rounds with a near-duplicate pair of arms. Whenever
+    # the certificate names an arm, the refit plays that arm.
+    gen = np.random.default_rng(seed)
+    xs, ys = _random_log(gen, link, n_fit + n_new, d, scale)
+    fit = policies.GlmFit(link, DesignState(d))
+    for x, y in zip(xs[:n_fit], ys[:n_fit]):
+        fit.update(x, y)
+    fit.refit()
+    for x, y in zip(xs[n_fit:], ys[n_fit:]):
+        fit.update(x, y)
+    for stepped in (False, True):
+        if stepped and (fit.score is None or fit.refit(1)):
+            break
+        if fit.score is None:
+            continue
+        v_inv = inv(fit.design.V)
+        theta_norm = math.sqrt(float(fit.theta @ fit.theta))
+        bound, radius = policies.score_bound(link, fit.score, v_inv, fit.r_max, theta_norm)
+        if bound == math.inf:
+            continue
+        residual = math.sqrt(d) * MLE_TOLERANCE * math.sqrt(v_inv.trace()) / float(link.mu_dot(0.0))
+        eps = float(np.finfo(float).eps)
+        refit = reference_mle_fit(link, xs, ys, warm_start=fit.theta)
+        assert refit.converged
+        for _ in range(20):
+            contexts = _ball_rows(gen, K, d, scale)
+            copy, source = gen.choice(K, size=2, replace=False)
+            contexts[copy] = contexts[source] + offset * gen.standard_normal(d)
+            norms = weighted_norms(contexts, v_inv)
+            rounding = d * eps * np.linalg.norm(contexts, axis=1) * (2.0 * theta_norm + radius)
+            assert (norms * residual > 100.0 * rounding).all()
+            arm = fit.certified_arm(contexts, alpha, norms)
+            if arm is not None:
+                assert arm == greedy_argmax(contexts @ refit.theta + alpha * norms)
