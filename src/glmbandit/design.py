@@ -18,7 +18,7 @@ _QUADFORM_SLACK = -1e-12
 
 def weighted_norm(x: np.ndarray, a: np.ndarray) -> float:
     """sqrt(x' A x) for a symmetric positive-definite weight matrix A."""
-    q = float(x @ a @ x)
+    q = float(x.dot(a).dot(x))
     if q < _QUADFORM_SLACK:
         raise NonPositiveDefiniteError(f"quadratic form evaluated to {q:.3e}")
     return math.sqrt(max(q, 0.0))
@@ -44,6 +44,13 @@ def norm_lower_bound(x: np.ndarray, v: np.ndarray, lambda_min: float) -> float:
     trace = float(v.trace())
     slack = (v.shape[0] * trace / lambda_min) ** 2 * 2.0**-46  # 64 eps = 2^-46
     return math.sqrt(max(float(x.dot(x)) * (1.0 - slack) / trace, 0.0))
+
+
+def rounding_allowance(d: int, x_max: float, reach: float) -> float:
+    """Covers the rounding of x'v for rows x of entries at most ``x_max`` in
+    size and the vectors v of one comparison, of norms summing to at most
+    ``reach``: d eps |x| |v| a product, |x| <= sqrt(d) x_max, 8 eps = 2^-49."""
+    return 2.0**-49 * d**1.5 * x_max * reach
 
 
 # solve and inv call the LAPACK gufuncs behind np.linalg.solve and np.linalg.inv
@@ -88,6 +95,7 @@ class DesignState:
         self._cleared = False  # V has cleared the eigenvalue floor
         self._v_inv: np.ndarray | None = None
         self._v_inv_n: int | None = None  # the n that _v_inv was formed at
+        self._trace = (-1, math.nan)  # (n, tr V^{-1} at that n)
         self._xs = np.empty((64, d))
         self._ys = np.empty(64)
 
@@ -140,6 +148,12 @@ class DesignState:
             self._v_inv = inv(self.V)
             self._v_inv_n = self.n
         return self._v_inv
+
+    def inverse_trace(self) -> float:
+        """tr V^{-1} of ``inverse()``, summed at most once per n."""
+        if self._trace[0] != self.n:
+            self._trace = (self.n, float(self.inverse().trace()))
+        return self._trace[1]
 
     def copy(self) -> DesignState:
         """An independent copy: its own arrays, log, inverse and cache key."""

@@ -19,16 +19,19 @@ from .errors import InvalidConfigError, check_config
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
+def _sigmoid_float(z: float) -> float:
     # Overflow-free form: exp is only ever applied to nonpositive arguments.
+    # The array path's IEEE operations in Python floats, one np.exp aside
+    # (math.exp rounds differently): the three scalar calls of a learner round
+    # (GlmFit.update's mu and score_bound's two mu') skip the ufunc dispatch.
+    ez = float(np.exp(-abs(z)))
+    return (1.0 if z >= 0 else ez) / (1.0 + ez)
+
+
+def _sigmoid(z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.ndim == 0:
-        # The same IEEE operations in Python floats, one np.exp aside: the
-        # scalar calls (one per learner round once a fit has converged,
-        # from GlmFit.update's score) skip the ufunc dispatch of the rest.
-        z = float(z)
-        ez = float(np.exp(-abs(z)))
-        return np.float64((1.0 if z >= 0 else ez) / (1.0 + ez))
+        return np.float64(_sigmoid_float(float(z)))
     # The same formula with its temporaries reused. The numerator
     # where(z >= 0, 1, ez) is taken as max(ez, z >= 0): ez lies in [0, 1], so
     # both pick the same value (a NaN ez included), and max is a vector loop
@@ -73,6 +76,11 @@ def _identity_ddot(z):
 
 def _logistic_dot(z):
     s = _sigmoid(z)
+    return s * (1.0 - s)
+
+
+def _logistic_dot_float(z: float) -> float:
+    s = _sigmoid_float(z)
     return s * (1.0 - s)
 
 
@@ -126,6 +134,13 @@ PROBIT = LinkFunction(
 )
 
 _LINKS = {link.kind: link for link in (IDENTITY, LOGISTIC, PROBIT)}
+_FLOAT_FORMS = {_sigmoid: _sigmoid_float, _logistic_dot: _logistic_dot_float}
+
+
+def float_form(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
+    """A link's ``mu`` or ``mu_dot`` as a map of Python floats, with the bits
+    of ``float(fn(z))``: the logistic link's own scalar path, else ``fn``."""
+    return _FLOAT_FORMS.get(fn) or (lambda z: float(fn(z)))
 
 
 def get_link(kind: str) -> LinkFunction:

@@ -62,9 +62,9 @@ class MleResult:
 
 def _link_pass(link: LinkFunction, xs: np.ndarray, ys: np.ndarray, theta: np.ndarray):
     """One link evaluation at theta: the linear predictor, the mean, the score."""
-    z = xs @ theta
+    z = xs.dot(theta)
     mu = link.mu(z)
-    return z, mu, xs.T @ (ys - mu)
+    return z, mu, xs.T.dot(ys - mu)
 
 
 def _sup_norm(score: np.ndarray) -> float:
@@ -181,7 +181,7 @@ def mle_fit(
             weights *= mu
         else:
             weights = link.mu_dot(z)
-        fisher = (xs * weights[:, None]).T @ xs
+        fisher = (xs * weights[:, None]).T.dot(xs)
         if not _clears_floor(fisher) and (lam := min_eigenvalue(fisher)) < FISHER_EIGENVALUE_FLOOR:
             fisher = fisher + FISHER_RIDGE * np.eye(d)
             if (not _ridge_clears_floor(lam, fisher)

@@ -12,9 +12,10 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .design import DesignState, min_eigenvalue, norm_lower_bound, weighted_norm, weighted_norms
+from .design import DesignState, min_eigenvalue, norm_lower_bound, rounding_allowance
+from .design import weighted_norm, weighted_norms
 from .errors import InvalidConfigError, check_config
-from .links import LinkFunction, is_builtin
+from .links import LinkFunction, float_form, is_builtin
 from .mle import MLE_MAX_ITERATIONS, MLE_TOLERANCE, mle_fit
 
 POLICY_KINDS = (
@@ -142,13 +143,15 @@ def greedy_argmax(scores: np.ndarray, active: list[int] | None = None) -> int:
 
 
 def score_bound(
-    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float
+    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float,
+    *, trace: float | None = None,
 ) -> tuple[float, float]:
     """B with |theta_hat - theta|_V <= B for the MLE theta_hat of a log whose
     exact score at theta is ``score``, and for any iterate a converged fit
     could return, and the radius R below; B is inf when the score cannot
-    bound them. ``v_inv`` is V^{-1}, ``r_max`` the log's largest row norm
-    and ``theta_norm`` |theta|; theta need not be a converged fit.
+    bound them. ``v_inv`` is V^{-1} (``trace`` its trace, if known),
+    ``r_max`` the log's largest row norm and ``theta_norm`` |theta|; theta
+    need not be a converged fit.
 
     The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
     non-increasing in |z| for the built-in links, so on the Euclidean
@@ -161,18 +164,19 @@ def score_bound(
     sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c from theta_hat. R is taken
     as twice the bound at the slope at theta itself.
     """
-    root_trace = math.sqrt(float(v_inv.trace()))
+    root_trace = math.sqrt(float(v_inv.trace()) if trace is None else trace)
+    mu_dot = float_form(link.mu_dot)
     # |score|_{V^{-1}}, plus the most a converged fit's residual score adds to it.
     score_norm = weighted_norm(score, v_inv)
     score_norm += math.sqrt(len(score)) * MLE_TOLERANCE * root_trace
-    slope = float(link.mu_dot(r_max * theta_norm))
+    slope = mu_dot(r_max * theta_norm)
     if not slope > 0:
         return math.inf, math.inf
     radius = 2.0 * score_norm / slope * root_trace
     reach = r_max * (theta_norm + radius)  # the largest |x'theta| on the ball
     if not reach < 1e150:  # a bound this wide certifies nothing; mu' could overflow
         return math.inf, math.inf
-    slope = float(link.mu_dot(reach))
+    slope = mu_dot(reach)
     if not slope > 0:
         return math.inf, math.inf
     bound = score_norm / slope
@@ -197,6 +201,7 @@ class GlmFit:
 
     def __init__(self, link: LinkFunction, design: DesignState):
         self.link = link
+        self._mu = float_form(link.mu)
         self.design = design
         self.theta = np.zeros(design.d)
         self._theta_norm = 0.0
@@ -212,7 +217,7 @@ class GlmFit:
         x = self.design.update(x, y)
         self.r_max = max(self.r_max, math.sqrt(float(x.dot(x))))
         if self.score is not None:
-            self.score += x * (y - float(self.link.mu(float(x.dot(self.theta)))))
+            self.score += x * (y - self._mu(float(x.dot(self.theta))))
         self.dirty = True
         self._bounds = None
         self._spent = 0
@@ -229,7 +234,7 @@ class GlmFit:
         )
         self._spent += result.iterations
         self.theta = result.theta
-        self._theta_norm = math.sqrt(float(self.theta @ self.theta))
+        self._theta_norm = math.sqrt(float(self.theta.dot(self.theta)))
         self.dirty = not result.converged and self._spent < MLE_MAX_ITERATIONS
         kept = self._certifies and (result.converged or self.dirty)
         self.score = result.score.copy() if kept else None
@@ -245,7 +250,8 @@ class GlmFit:
         and then reads B again pays once."""
         if self._bounds is None:
             self._bounds = (math.inf, math.inf) if self.score is None else score_bound(
-                self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm
+                self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm,
+                trace=self.design.inverse_trace(),
             )
         return self._bounds
 
@@ -268,7 +274,7 @@ class GlmFit:
         bound = self.bound()
         if bound == math.inf:
             return None
-        scores = contexts @ self.theta + alpha * norms
+        scores = contexts.dot(self.theta) + alpha * norms
         top = int(scores.argmax())
         spread = norms * bound
         rivals = (scores + spread).tolist()
@@ -276,23 +282,27 @@ class GlmFit:
         lowest = scores.item(top) - spread.item(top)
         return top if all(lowest > rival for rival in rivals) else None
 
-    def certified_greedy_arm(self, contexts: np.ndarray) -> int | None:
+    def certified_greedy_arm(self, contexts: np.ndarray, carry: list | None = None) -> int | None:
         """``certified_arm`` with alpha = 0, from pairwise margins:
         (x_top - x_a)'theta_hat >= (x_top - x_a)'theta - |x_top - x_a|_{V^{-1}} B,
         where |x_top - x_a|_{V^{-1}} <= |x_top|_{V^{-1}} + |x_a|_{V^{-1}}. That
         norm is near 0 for near-duplicate arms, so each margin must also clear
-        the rounding of x'theta at theta and at theta_hat, d eps |x| |theta|
-        at most, with |x| <= sqrt(d) max|x_ij| and |theta_hat| <= |theta| + R.
+        ``rounding_allowance`` for x'theta at theta and at theta_hat, with
+        |theta_hat| <= |theta| + R. ``carry``, shared by one round's calls,
+        keeps the top arm's pairwise norms and max|x_ij|, which hold while the
+        top arm does: a Newton step moves neither V^{-1} nor the contexts.
         """
         bound, radius = self._bound()
         if bound == math.inf:
             return None
-        scores = contexts @ self.theta
+        scores = contexts.dot(self.theta)
         top = int(scores.argmax())
-        norms = weighted_norms(contexts - contexts[top], self.design.inverse())
-        reach = 2.0 * self._theta_norm + radius
-        # 8 eps = 2^-49 covers the two scores per pair at each theta.
-        allowance = 2.0**-49 * self.design.d**1.5 * float(np.abs(contexts).max()) * reach
+        carry = [] if carry is None else carry
+        if carry[:1] != [top]:
+            carry[:] = (top, weighted_norms(contexts - contexts[top], self.design.inverse()),
+                        float(np.abs(contexts).max()))
+        _, norms, x_max = carry
+        allowance = rounding_allowance(self.design.d, x_max, 2.0 * self._theta_norm + radius)
         margins = (scores.item(top) - scores - norms * bound).tolist()
         margins[top] = math.inf
         return top if all(margin > allowance for margin in margins) else None
@@ -395,14 +405,15 @@ class _GlmFitPolicy(BasePolicy):
         fit = self.fit
         norms = None if v_inv is None else weighted_norms(contexts, v_inv)
         if fit.dirty and fit.score is not None:
-            certify = ((lambda: fit.certified_greedy_arm(contexts)) if norms is None
+            carry: list = []
+            certify = ((lambda: fit.certified_greedy_arm(contexts, carry)) if norms is None
                        else (lambda: fit.certified_arm(contexts, alpha, norms)))
             arm = certify()
             if arm is None and not fit.refit(1):  # a step cut on purpose counts nowhere
                 arm = certify()
             if arm is not None:
                 return arm
-        means = contexts @ self.estimate()
+        means = contexts.dot(self.estimate())
         return greedy_argmax(means + alpha * norms if alpha else means)
 
 
@@ -536,7 +547,7 @@ class SupCbGlmPolicy(BasePolicy):
             floor = alpha * norm_lower_bound(contexts[first], v, self.lambda_min_init)
             if not floor > 2.0 ** (-s):
                 self._floor_live[s] = alpha * fit.r_max > 2.0 ** (-s) * math.sqrt(v.trace())
-        return ((lambda: contexts @ self._refit(fit)),
+        return ((lambda: contexts.dot(self._refit(fit))),
                 (lambda: alpha * weighted_norms(contexts, fit.design.inverse())), floor)
 
     def select(self, t: int, contexts: np.ndarray) -> int:

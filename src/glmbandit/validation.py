@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import rng as streams
-from .design import inv, min_eigenvalue, weighted_norm, weighted_norms
+from .design import inv, min_eigenvalue, rounding_allowance, weighted_norm, weighted_norms
 from .environment import (
     Environment,
     check_world,
@@ -175,9 +175,8 @@ def _gap_interval(
     bound, radius = score_bound(
         link, fit.score, v_inv, r_max, math.sqrt(float(fit.theta @ fit.theta))
     )
-    # 8 eps = 2^-49 covers the rounding of each gap.
     reach = 2.0 * math.sqrt(float(offset @ offset)) + radius
-    allowance = 2.0**-49 * len(offset) ** 1.5 * float(np.abs(directions).max()) * reach
+    allowance = rounding_allowance(len(offset), float(np.abs(directions).max()), reach)
     return np.abs(directions @ offset), widths * bound + allowance
 
 
