@@ -95,7 +95,6 @@ class DesignState:
         self._cleared = False  # V has cleared the eigenvalue floor
         self._v_inv: np.ndarray | None = None
         self._v_inv_n: int | None = None  # the n that _v_inv was formed at
-        self._trace = (-1, math.nan)  # (n, tr V^{-1} at that n)
         self._xs = np.empty((64, d))
         self._ys = np.empty(64)
 
@@ -148,12 +147,6 @@ class DesignState:
             self._v_inv = inv(self.V)
             self._v_inv_n = self.n
         return self._v_inv
-
-    def inverse_trace(self) -> float:
-        """tr V^{-1} of ``inverse()``, summed at most once per n."""
-        if self._trace[0] != self.n:
-            self._trace = (self.n, float(self.inverse().trace()))
-        return self._trace[1]
 
     def copy(self) -> DesignState:
         """An independent copy: its own arrays, log, inverse and cache key."""

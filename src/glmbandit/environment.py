@@ -204,7 +204,7 @@ class Environment:
     def __post_init__(self):
         self.theta_star = np.asarray(self.theta_star, dtype=float)
         if self.fixed_contexts is not None:
-            self.fixed_contexts = np.asarray(self.fixed_contexts, dtype=float)
+            self.fixed_contexts = np.ascontiguousarray(self.fixed_contexts, dtype=float)
         check_world(
             self.link.kind, self.noise, self.sigma, self.context_dist, self.d, self.K,
             self.fixed_contexts, self.theta_star,

@@ -134,13 +134,15 @@ PROBIT = LinkFunction(
 )
 
 _LINKS = {link.kind: link for link in (IDENTITY, LOGISTIC, PROBIT)}
-_FLOAT_FORMS = {_sigmoid: _sigmoid_float, _logistic_dot: _logistic_dot_float}
 
 
-def float_form(fn: Callable[[np.ndarray], np.ndarray]) -> Callable[[float], float]:
-    """A link's ``mu`` or ``mu_dot`` as a map of Python floats, with the bits
-    of ``float(fn(z))``: the logistic link's own scalar path, else ``fn``."""
-    return _FLOAT_FORMS.get(fn) or (lambda z: float(fn(z)))
+def float_forms(link: LinkFunction) -> tuple[Callable[[float], float], Callable[[float], float]]:
+    """``link.mu`` and ``link.mu_dot`` as maps of Python floats, with the bits
+    of ``float(link.mu(z))``: the built-in logistic link's own scalar path,
+    found by kind as ``is_builtin`` finds it, else the link's functions."""
+    if link.kind == "logistic" and is_builtin(link):
+        return _sigmoid_float, _logistic_dot_float
+    return (lambda z: float(link.mu(z))), (lambda z: float(link.mu_dot(z)))
 
 
 def get_link(kind: str) -> LinkFunction:

@@ -15,7 +15,7 @@ import numpy as np
 from .design import DesignState, min_eigenvalue, norm_lower_bound, rounding_allowance
 from .design import weighted_norm, weighted_norms
 from .errors import InvalidConfigError, check_config
-from .links import LinkFunction, float_form, is_builtin
+from .links import LinkFunction, float_forms, is_builtin
 from .mle import MLE_MAX_ITERATIONS, MLE_TOLERANCE, mle_fit
 
 POLICY_KINDS = (
@@ -143,15 +143,13 @@ def greedy_argmax(scores: np.ndarray, active: list[int] | None = None) -> int:
 
 
 def score_bound(
-    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float,
-    *, trace: float | None = None,
+    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float
 ) -> tuple[float, float]:
     """B with |theta_hat - theta|_V <= B for the MLE theta_hat of a log whose
     exact score at theta is ``score``, and for any iterate a converged fit
     could return, and the radius R below; B is inf when the score cannot
-    bound them. ``v_inv`` is V^{-1} (``trace`` its trace, if known),
-    ``r_max`` the log's largest row norm and ``theta_norm`` |theta|; theta
-    need not be a converged fit.
+    bound them. ``v_inv`` is V^{-1}, ``r_max`` the log's largest row norm
+    and ``theta_norm`` |theta|; theta need not be a converged fit.
 
     The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
     non-increasing in |z| for the built-in links, so on the Euclidean
@@ -164,8 +162,8 @@ def score_bound(
     sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c from theta_hat. R is taken
     as twice the bound at the slope at theta itself.
     """
-    root_trace = math.sqrt(float(v_inv.trace()) if trace is None else trace)
-    mu_dot = float_form(link.mu_dot)
+    root_trace = math.sqrt(float(v_inv.trace()))
+    _, mu_dot = float_forms(link)
     # |score|_{V^{-1}}, plus the most a converged fit's residual score adds to it.
     score_norm = weighted_norm(score, v_inv)
     score_norm += math.sqrt(len(score)) * MLE_TOLERANCE * root_trace
@@ -201,7 +199,7 @@ class GlmFit:
 
     def __init__(self, link: LinkFunction, design: DesignState):
         self.link = link
-        self._mu = float_form(link.mu)
+        self._mu, _ = float_forms(link)
         self.design = design
         self.theta = np.zeros(design.d)
         self._theta_norm = 0.0
@@ -250,8 +248,7 @@ class GlmFit:
         and then reads B again pays once."""
         if self._bounds is None:
             self._bounds = (math.inf, math.inf) if self.score is None else score_bound(
-                self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm,
-                trace=self.design.inverse_trace(),
+                self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm
             )
         return self._bounds
 
@@ -282,27 +279,22 @@ class GlmFit:
         lowest = scores.item(top) - spread.item(top)
         return top if all(lowest > rival for rival in rivals) else None
 
-    def certified_greedy_arm(self, contexts: np.ndarray, carry: list | None = None) -> int | None:
+    def certified_greedy_arm(self, contexts: np.ndarray) -> int | None:
         """``certified_arm`` with alpha = 0, from pairwise margins:
         (x_top - x_a)'theta_hat >= (x_top - x_a)'theta - |x_top - x_a|_{V^{-1}} B,
         where |x_top - x_a|_{V^{-1}} <= |x_top|_{V^{-1}} + |x_a|_{V^{-1}}. That
         norm is near 0 for near-duplicate arms, so each margin must also clear
         ``rounding_allowance`` for x'theta at theta and at theta_hat, with
-        |theta_hat| <= |theta| + R. ``carry``, shared by one round's calls,
-        keeps the top arm's pairwise norms and max|x_ij|, which hold while the
-        top arm does: a Newton step moves neither V^{-1} nor the contexts.
+        |theta_hat| <= |theta| + R.
         """
         bound, radius = self._bound()
         if bound == math.inf:
             return None
         scores = contexts.dot(self.theta)
         top = int(scores.argmax())
-        carry = [] if carry is None else carry
-        if carry[:1] != [top]:
-            carry[:] = (top, weighted_norms(contexts - contexts[top], self.design.inverse()),
-                        float(np.abs(contexts).max()))
-        _, norms, x_max = carry
-        allowance = rounding_allowance(self.design.d, x_max, 2.0 * self._theta_norm + radius)
+        norms = weighted_norms(contexts - contexts[top], self.design.inverse())
+        reach = 2.0 * self._theta_norm + radius
+        allowance = rounding_allowance(self.design.d, float(np.abs(contexts).max()), reach)
         margins = (scores.item(top) - scores - norms * bound).tolist()
         margins[top] = math.inf
         return top if all(margin > allowance for margin in margins) else None
@@ -405,8 +397,7 @@ class _GlmFitPolicy(BasePolicy):
         fit = self.fit
         norms = None if v_inv is None else weighted_norms(contexts, v_inv)
         if fit.dirty and fit.score is not None:
-            carry: list = []
-            certify = ((lambda: fit.certified_greedy_arm(contexts, carry)) if norms is None
+            certify = ((lambda: fit.certified_greedy_arm(contexts)) if norms is None
                        else (lambda: fit.certified_arm(contexts, alpha, norms)))
             arm = certify()
             if arm is None and not fit.refit(1):  # a step cut on purpose counts nowhere

@@ -93,20 +93,6 @@ def test_inverse_tracks_direct_inversion():
     assert consistency_error(state) <= 1e-8
 
 
-def test_inverse_trace_sums_the_inverse_diagonal_once_per_size(monkeypatch):
-    gen = np.random.default_rng(8)
-    state = DesignState(4)
-    for x in gen.standard_normal((6, 4)):
-        state.update(x, 0.0)
-    asked, inverse = [], DesignState.inverse
-    monkeypatch.setattr(DesignState, "inverse", lambda self: asked.append(self.n) or inverse(self))
-    trace = state.inverse_trace()
-    assert trace == float(np.add.reduce(design.inv(state.V).diagonal()))
-    assert state.inverse_trace() == trace and asked == [6]
-    state.update(gen.standard_normal(4), 0.0)
-    assert state.inverse_trace() == float(design.inv(state.V).trace()) and asked == [6, 7]
-
-
 def test_the_pairwise_rounding_allowance_has_one_owner():
     # The greedy certificate and theorem1's intervals both ask rounding_allowance.
     package = Path(design.__file__).parent

@@ -5,14 +5,21 @@ float path equals the public ``mu`` and ``mu_dot``, bit for bit.
 The products run on slices of a grown ``DesignState`` log, at n around
 BLAS's blocking edges and d up to 40. Their bits may depend on the BLAS
 thread count, so CI runs these with one thread and with the default.
+The two forms agree on C-contiguous operands only: ``dot`` copies a
+strided one for BLAS where ``@`` runs its own loop, so an Environment
+keeps its fixed contexts C-contiguous.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from glmbandit import links
 from glmbandit.design import DesignState, inv, weighted_norm
-from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, float_form
+from glmbandit.environment import Environment
+from glmbandit.links import IDENTITY, LOGISTIC, PROBIT, float_forms
 
 from test_links import SIGMOID_EDGES, same_bits
 
@@ -67,8 +74,8 @@ SUBNORMALS = [5e-324, -5e-324, 2.2250738585072009e-308, -2.2250738585072009e-308
 
 @pytest.mark.parametrize("z", [*SIGMOID_EDGES, *SUBNORMALS])
 def test_logistic_float_path_matches_the_public_link(z):
-    for public in (LOGISTIC.mu, LOGISTIC.mu_dot):
-        value = float_form(public)(float(z))
+    for form, public in zip(float_forms(LOGISTIC), (LOGISTIC.mu, LOGISTIC.mu_dot)):
+        value = form(float(z))
         assert type(value) is float
         assert same_bits(np.float64(value), public(z))
         assert same_bits(np.float64(value), public(np.float64(z)))
@@ -78,8 +85,34 @@ def test_logistic_float_path_matches_the_public_link(z):
 @given(z=st.floats(allow_nan=True, allow_infinity=True, width=64) | st.sampled_from(SIGMOID_EDGES))
 def test_float_forms_match_every_link(z):
     for link in (LOGISTIC, IDENTITY, PROBIT):
-        for public in (link.mu, link.mu_dot):
+        for form, public in zip(float_forms(link), (link.mu, link.mu_dot)):
             with np.errstate(all="ignore"):  # the normal density overflows as it should
-                value, expected = float_form(public)(z), np.float64(public(z))
+                value, expected = form(z), np.float64(public(z))
             assert type(value) is float
             assert same_bits(np.float64(value), expected)
+
+
+def test_the_logistic_float_path_is_found_by_kind(monkeypatch):
+    # Wrapping the built-in link's functions in place, as a tracer does,
+    # keeps its scalar path; a look-alike link of another mu does not get it.
+    scalar = (links._sigmoid_float, links._logistic_dot_float)
+    monkeypatch.setitem(vars(LOGISTIC), "mu", lambda z: links._sigmoid(z))
+    assert float_forms(LOGISTIC) == scalar
+    look_alike = dataclasses.replace(LOGISTIC, mu=lambda z: links._sigmoid(z) * 0.5)
+    mu, _ = float_forms(look_alike)
+    assert mu not in scalar and mu(0.0) == 0.25
+
+
+@settings(max_examples=100, deadline=None)
+@given(k=st.integers(1, 12), d=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_strided_fixed_contexts_reach_the_learner_c_contiguous(k, d, seed):
+    gen = np.random.default_rng(seed)
+    wide = gen.uniform(-1.0, 1.0, (2 * k, 3 * d)) / (3.0 * d)
+    world = Environment(
+        d=d, K=k, theta_star=np.zeros(d), link=LOGISTIC, noise="bernoulli", sigma=0.5,
+        context_dist="fixed", contexts_rng=gen, rewards_rng=gen, fixed_contexts=wide[::2, ::3],
+    )
+    contexts, theta = world.sample_contexts(), gen.standard_normal(d)
+    assert contexts.flags.c_contiguous and np.array_equal(contexts, wide[::2, ::3])
+    assert same(contexts.dot(theta), contexts @ theta)
+    assert same(world.sample_contexts(3)[1].dot(theta), contexts @ theta)
