@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import json
 import math
 import numbers
 import os
 import typing
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -60,13 +59,17 @@ _SHAPE_FIELDS = ("T", "record_every", "replications")
 # one round). A budget, not a round count, keeps peak memory flat in K*d.
 CHUNK_ELEMENTS = 32_768
 
-# The CSV writers format this many rows at a time, a column at a time.
+# The CSV writers format this many rows at a time into one string.
 EMIT_BLOCK_ROWS = 256
+
+# Every float written (CSV cells, meta.json, sweep labels): 12 significant digits.
+CELL = "%.12g"
+TRACE_ROW = f"%d,%d,%d,{CELL},{CELL},{CELL},%d,%s\n"
 
 
 def fmt(value: float) -> str:
-    """Decimal rendering with 12 significant digits (file schema rule)."""
-    return f"{value:.12g}"
+    """``value`` as the files write it: ``CELL``, 12 significant digits."""
+    return CELL % value
 
 
 def fmt12(value: float) -> float:
@@ -193,6 +196,10 @@ class ExperimentSpec:
                 raise InvalidConfigError(
                     f"unknown algorithm {name!r}; expected one of {POLICY_KINDS}"
                 )
+            if not set(name).isdisjoint(',"\r\n'):
+                raise InvalidConfigError(f"algorithms: {name!r} would break a CSV row")
+        if len(set(map(safe_name, self.algorithms))) < len(self.algorithms):
+            raise InvalidConfigError("algorithms: two labels share a trace file name")
         check_world(
             self.link, self.noise, self.sigma, self.context_dist, self.d, self.K,
             self.fixed_contexts, self.theta_star,
@@ -310,15 +317,17 @@ def _play_chunk(
     done: int,
     picked: np.ndarray,
     observe: Callable[[str, int, np.ndarray], None] | None,
-    reward_table: Callable[[], np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    memo: list[np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | int, np.ndarray | int]:
     """One policy's turn at a chunk of rounds ``done+1 ..``: the arm of
     every round, and the reward, MLE flag and stage of each ``picked`` one.
 
     A policy that does not learn selects the whole chunk at once and scores
-    only its picked rows, in one ``sample_reward`` call. One that learns
-    plays round by round and reads each reward from ``reward_table()``, the
-    chunk's ``(rounds, K)`` table of every arm's reward.
+    only its picked rows, in one ``sample_reward`` call; its flag and stage
+    are the same every round, so they come back as scalars. One that learns
+    plays round by round and reads each reward from the chunk's
+    ``(rounds, K)`` table of every arm's reward, which the first learner to
+    play the chunk scores into the empty list ``memo``.
     """
     m = len(tape)
     chosen = policy.select_rounds(tape)
@@ -329,9 +338,10 @@ def _play_chunk(
                 observe(label, done + i + 1, xs[i])
         rewards = env.sample_reward(tape[picked, chosen[picked]], noise[picked])
         stage = -1 if policy.last_stage is None else policy.last_stage
-        converged = np.full(len(picked), int(policy.last_mle_converged))
-        return chosen, rewards, converged, np.full(len(picked), stage)
-    table = reward_table()
+        return chosen, rewards, int(policy.last_mle_converged), stage
+    if not memo:  # an array: nested Python floats cost far more memory
+        memo.append(env.sample_reward(tape, noise[:, None]))
+    table = memo[0]
     chosen = np.empty(m, dtype=int)
     converged = np.empty(m, dtype=int)
     stages = np.empty(m, dtype=int)
@@ -406,12 +416,11 @@ def simulate(
         last = int(np.searchsorted(ts, done + m, side="right"))
         rows = slice(first, last)
         picked = ts[rows] - done - 1
-        # Kept as an array: a nested list of Python floats costs far more memory.
-        reward_table = functools.cache(functools.partial(env.sample_reward, tape, noise[:, None]))
+        memo = []  # the chunk's reward table, once a learner has scored it
         for label, policy in policies.items():
             trace = traces[label]
             chosen, rewards, converged, stages = _play_chunk(
-                env, label, policy, tape, noise, done, picked, observe, reward_table
+                env, label, policy, tape, noise, done, picked, observe, memo
             )
             regret = top - means[rounds, chosen]
             # Carry the running total into the first term: cumsum then adds
@@ -610,14 +619,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
 # File output ---------------------------------------------------------------
 
 
-def write_atomic(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` through a sibling temp file and
-    ``os.replace``: a failed write leaves any earlier file whole and no
-    partial or temp file behind."""
+def write_atomic(path: str, *parts: str) -> None:
+    """Write the concatenated ``parts`` to ``path`` through a sibling temp
+    file and ``os.replace``: a failed write leaves any earlier file whole
+    and no partial or temp file behind."""
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", newline="") as fh:
-            fh.write(text)
+            for part in parts:
+                fh.write(part)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
@@ -629,50 +639,27 @@ def safe_name(name: str) -> str:
     return "".join(ch if ch.isalnum() or ch in "-._" else "_" for ch in name)
 
 
-def _constant(cell: str) -> Callable[[slice], Iterable[str]]:
-    return lambda rows: itertools.repeat(cell)
-
-
-def _ints(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
-    return lambda rows: map(str, column[rows].astype(int, copy=False).tolist())
-
-
-def _floats(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
-    return lambda rows: map(fmt, column[rows].astype(float, copy=False).tolist())
-
-
-def _stages(column: np.ndarray) -> Callable[[slice], Iterable[str]]:
-    """The stage column: blank where the policy has no stage (-1)."""
-    return lambda rows: [
-        "" if v < 0 else str(v) for v in column[rows].astype(int, copy=False).tolist()
-    ]
-
-
-def _csv_rows(n: int, columns: list[Callable[[slice], Iterable[str]]]) -> list[str]:
-    """The n rows of a CSV body, formatted a column at a time in blocks of
-    ``EMIT_BLOCK_ROWS`` rows: each of ``columns`` maps a slice of rows to
-    its cells. A block bounds the Python floats alive at once, which whole
-    columns would hold for every row."""
-    lines = []
-    for start in range(0, n, EMIT_BLOCK_ROWS):
+def _csv_body(template: str, columns: list[np.ndarray], stages=None) -> list[str]:
+    """A CSV body, one ``template % cells`` per row, as one string per
+    block of ``EMIT_BLOCK_ROWS`` rows. ``stages``, when given, is the last
+    column, blank where the policy has no stage (-1). A block bounds the
+    Python numbers alive at once, which whole columns would hold for every
+    row."""
+    blocks = []
+    for start in range(0, len(columns[0]), EMIT_BLOCK_ROWS):
         rows = slice(start, start + EMIT_BLOCK_ROWS)
-        lines += map(",".join, zip(*(column(rows) for column in columns)))
-    return lines
+        cells = [column[rows].tolist() for column in columns]
+        if stages is not None:
+            cells.append(["" if v < 0 else str(v) for v in stages[rows].tolist()])
+        blocks.append("".join(map(template.__mod__, zip(*cells))))
+    return blocks
 
 
 def emit_trace_csv(trace: RegretTrace, path: str) -> None:
-    columns = [
-        _ints(trace.ts),
-        _ints(trace.arms),
-        _ints(trace.optimal_arms),
-        _floats(trace.rewards),
-        _floats(trace.inst_regret),
-        _floats(trace.cum_regret),
-        _ints(trace.mle_converged),
-        _stages(trace.stages),
-    ]
-    lines = [TRACE_HEADER, *_csv_rows(len(trace.ts), columns)]
-    write_atomic(path, "\n".join(lines) + "\n")
+    columns = [trace.ts, trace.arms, trace.optimal_arms, trace.rewards, trace.inst_regret,
+               trace.cum_regret, trace.mle_converged]
+    body = _csv_body(TRACE_ROW, columns, trace.stages)
+    write_atomic(path, TRACE_HEADER + "\n", *body)
 
 
 def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
@@ -686,18 +673,14 @@ def emit_csv(result: ExperimentResult, out_dir: str) -> dict[str, str]:
         raise InvalidConfigError("cannot emit files for zero replications")
     os.makedirs(out_dir, exist_ok=True)
 
-    lines = [SUMMARY_HEADER]
+    blocks = [SUMMARY_HEADER + "\n"]
     for name in spec.algorithms:
         stat = summary.stats[name]
-        columns = [
-            _constant(name),
-            _ints(summary.ts),
-            *(_floats(stat[key]) for key in ("mean", "std", "min", "max")),
-            _constant(str(summary.n_reps)),
-        ]
-        lines += _csv_rows(len(summary.ts), columns)
+        template = f"{name.replace('%', '%%')},%d,{CELL},{CELL},{CELL},{CELL},{summary.n_reps}\n"
+        columns = [summary.ts, *(stat[key] for key in ("mean", "std", "min", "max"))]
+        blocks += _csv_body(template, columns)
     summary_path = os.path.join(out_dir, "summary.csv")
-    write_atomic(summary_path, "\n".join(lines) + "\n")
+    write_atomic(summary_path, *blocks)
 
     written = {"summary": summary_path}
     for trace in result.traces:

@@ -38,4 +38,23 @@ def stream(master_seed: int, replication: int, purpose: int) -> np.random.Genera
         [master_seed, (replication << _PURPOSE_BITS) | purpose],
         dtype=np.uint64,
     )
-    return np.random.Generator(np.random.Philox(key=key))
+    if not _Key.registered:  # loads numpy.random, which importing the package does not
+        _Key.registered = np.random.bit_generator.ISpawnableSeedSequence.register(_Key)
+    return np.random.Generator(np.random.Philox(_Key(key)))
+
+
+class _Key:
+    """A seed sequence that hands Philox the key as its state, so the
+    stream equals ``Philox(key=key)``'s without the OS entropy read of the
+    ``SeedSequence()`` that ``key=`` builds and drops."""
+
+    registered = False
+
+    def __init__(self, key: np.ndarray):
+        self.key = key
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        return self.key  # Philox asks for (2, np.uint64): the key's shape
+
+    def spawn(self, n_children: int):
+        raise TypeError("keyed streams do not spawn")

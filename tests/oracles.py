@@ -311,11 +311,17 @@ def consistency_error(state) -> float:
     return float(np.abs(state.V @ state.inverse() - np.eye(state.d)).max())
 
 
+def _fmt(value: float) -> str:
+    """The 12-significant-digit cell rule, written independently of
+    ``harness.CELL``."""
+    return f"{value:.12g}"
+
+
 def reference_trace_csv(trace) -> str:
     """A trace file's text as ``harness.emit_trace_csv`` first wrote it, one
     row and one element at a time; the byte-identity reference for the
-    column-wise writer."""
-    from glmbandit.harness import TRACE_HEADER, fmt
+    template writer."""
+    from glmbandit.harness import TRACE_HEADER
 
     lines = [TRACE_HEADER]
     for i in range(len(trace.ts)):
@@ -326,9 +332,9 @@ def reference_trace_csv(trace) -> str:
                     str(int(trace.ts[i])),
                     str(int(trace.arms[i])),
                     str(int(trace.optimal_arms[i])),
-                    fmt(float(trace.rewards[i])),
-                    fmt(float(trace.inst_regret[i])),
-                    fmt(float(trace.cum_regret[i])),
+                    _fmt(float(trace.rewards[i])),
+                    _fmt(float(trace.inst_regret[i])),
+                    _fmt(float(trace.cum_regret[i])),
                     str(int(trace.mle_converged[i])),
                     stage,
                 )
@@ -340,8 +346,8 @@ def reference_trace_csv(trace) -> str:
 def reference_summary_csv(result) -> str:
     """summary.csv's text as ``harness.emit_csv`` first wrote it, one row
     and one element at a time; the byte-identity reference for the
-    column-wise writer."""
-    from glmbandit.harness import SUMMARY_HEADER, fmt
+    template writer."""
+    from glmbandit.harness import SUMMARY_HEADER
 
     summary = result.summary
     lines = [SUMMARY_HEADER]
@@ -353,10 +359,10 @@ def reference_summary_csv(result) -> str:
                     (
                         name,
                         str(int(t)),
-                        fmt(float(stat["mean"][i])),
-                        fmt(float(stat["std"][i])),
-                        fmt(float(stat["min"][i])),
-                        fmt(float(stat["max"][i])),
+                        _fmt(float(stat["mean"][i])),
+                        _fmt(float(stat["std"][i])),
+                        _fmt(float(stat["min"][i])),
+                        _fmt(float(stat["max"][i])),
                         str(summary.n_reps),
                     )
                 )

@@ -87,6 +87,20 @@ def test_repeated_algorithm_rejected():
         base_spec(algorithms=["uniform", "uniform"])
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [
+        # A label that would split a CSV cell or row ...
+        ["uniform[a,b]"], ['uniform["a"]'], ["oracle[x\ny]"], ["oracle[x\ry]"],
+        # ... or two labels that would write one trace file.
+        ["uniform[a b]", "uniform[a;b]"],
+    ],
+)
+def test_labels_that_would_corrupt_the_files_rejected(labels):
+    with pytest.raises(InvalidConfigError, match="algorithms"):
+        base_spec(algorithms=["ucb-glm", *labels])
+
+
 def test_negative_master_seed_rejected():
     with pytest.raises(InvalidConfigError, match="master_seed"):
         base_spec(master_seed=-1)
@@ -603,8 +617,12 @@ def test_stage_column_populated_for_supcb(tmp_path):
 
 
 # Floats whose 12-digit renderings are edge cases: a signed zero, the
-# extremes of the exponent, the infinities and NaN.
-_SPECIAL_FLOATS = [-0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+# extremes of the exponent, the smallest subnormal, a value that takes 17
+# significant digits, the infinities and NaN.
+_SPECIAL_FLOATS = [
+    -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300, 5e-324, 0.30000000000000004,
+    math.inf, -math.inf, math.nan,
+]
 _CSV_ROWS = st.one_of(
     st.sampled_from([1, harness.EMIT_BLOCK_ROWS, harness.EMIT_BLOCK_ROWS + 1]),
     st.integers(1, 3 * harness.EMIT_BLOCK_ROWS),
@@ -650,7 +668,9 @@ def test_trace_writer_matches_the_row_by_row_reference(tmp_path_factory, n, stag
 @settings(max_examples=40, deadline=None)
 @given(
     n=_CSV_ROWS,
-    names=st.lists(st.sampled_from(["ucb-glm", "uniform", "oracle", "supcb-glm"]),
+    # A label goes into the row template, so its "%" must come out as is.
+    names=st.lists(st.sampled_from(["ucb-glm", "uniform", "oracle", "supcb-glm",
+                                    "ucb-glm[100%]", "uniform[a%%b]", "oracle[%d%s]"]),
                    min_size=1, max_size=4, unique=True),
     n_reps=st.integers(1, 50),
     plants=st.tuples(_PLANTS, _PLANTS),

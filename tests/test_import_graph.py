@@ -1,5 +1,5 @@
-"""The package's import layering, and SciPy and the process pool loading
-only on the paths that use them.
+"""The package's import layering, and SciPy, the process pool and
+``numpy.random`` loading only on the paths that use them.
 
 Each load check runs in a fresh interpreter: ``oracles`` imports SciPy, so
 the test process itself always has it loaded.
@@ -93,6 +93,16 @@ def test_logistic_run_and_check_load_no_scipy_and_no_pool():
         loaded = [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
         assert not loaded, loaded
         assert "concurrent.futures.process" not in sys.modules
+    """)
+
+
+def test_import_loads_no_numpy_random():
+    run_fresh("""
+        import sys
+
+        import glmbandit, glmbandit.cli
+
+        assert "numpy.random" not in sys.modules
     """)
 
 

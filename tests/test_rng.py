@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -40,3 +42,17 @@ def test_key_validation():
         streams.stream(0, -1, 0)
     with pytest.raises(ValueError):
         streams.stream(0, 0, 256)
+
+
+@pytest.mark.parametrize(
+    "master_seed, replication, purpose", [(0, 0, 0), (2**64 - 1, 2**56 - 1, 255)]
+)
+def test_stream_equals_philox_keyed_directly(master_seed, replication, purpose):
+    gen = streams.stream(master_seed, replication, purpose)
+    key = np.array([master_seed, (replication << 8) | purpose], dtype=np.uint64)
+    ref = np.random.Generator(np.random.Philox(key=key))
+    assert repr(gen.bit_generator.state) == repr(ref.bit_generator.state)
+    copy = pickle.loads(pickle.dumps(gen))
+    draws = gen.standard_normal(10**4)
+    assert np.array_equal(draws, ref.standard_normal(10**4))
+    assert np.array_equal(draws, copy.standard_normal(10**4))
