@@ -42,8 +42,15 @@ def norm_lower_bound(x: np.ndarray, v: np.ndarray, lambda_min: float) -> float:
     if not lambda_min >= MIN_EIGENVALUE_FLOOR:
         return 0.0
     trace = float(v.trace())
-    slack = (v.shape[0] * trace / lambda_min) ** 2 * 2.0**-46  # 64 eps = 2^-46
+    slack = inverse_rounding(v.shape[0], trace / lambda_min)
     return math.sqrt(max(float(x.dot(x)) * (1.0 - slack) / trace, 0.0))
+
+
+def inverse_rounding(d: int, k: float) -> float:
+    """64 d^2 eps k^2 (64 eps = 2^-46): bounds, relative to the exact value,
+    the rounding of a quadratic form in ``inv(v)`` or of |V u - g|_{V^{-1}} for
+    u = inv(v).dot(g), for a d x d V whose condition number is at most k."""
+    return (d * k) ** 2 * 2.0**-46
 
 
 def rounding_allowance(d: int, x_max: float, reach: float) -> float:

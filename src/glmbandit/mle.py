@@ -145,6 +145,19 @@ def _ridge_clears_floor(lam: float, ridged: np.ndarray) -> bool:
     return lam + FISHER_RIDGE - allowance >= FISHER_EIGENVALUE_FLOOR
 
 
+def score_rounding(
+    link: LinkFunction, n: int, trace: float, y_norm: float, theta_norm: float
+) -> float:
+    """Bounds |computed - exact score| at a theta of norm at most ``theta_norm``
+    on a log of n rows, sum |x|^2 = ``trace`` and |y| = ``y_norm``, whether one
+    ``mle_fit`` pass formed it or a fit's score was carried across rows. n
+    terms x (y - mu(x'theta)) are summed, each mu off by 8 ulps and by sup mu'
+    times x'theta's rounding, d eps |x| |theta| with d <= n; the built-in links
+    have |mu(z)| <= 1 + sup mu' |z|, and Cauchy-Schwarz bounds sum |x| |y|."""
+    mass = math.sqrt(trace) * (y_norm + math.sqrt(n)) + link.lipschitz_bound * theta_norm * trace
+    return _EPS * (3 * n + 8) * mass
+
+
 def mle_fit(
     link: LinkFunction,
     xs: np.ndarray,

@@ -12,11 +12,11 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .design import DesignState, min_eigenvalue, norm_lower_bound, rounding_allowance
-from .design import weighted_norm, weighted_norms
+from .design import DesignState, inverse_rounding, min_eigenvalue, norm_lower_bound
+from .design import rounding_allowance, weighted_norms
 from .errors import InvalidConfigError, check_config
 from .links import LinkFunction, float_forms, is_builtin
-from .mle import MLE_MAX_ITERATIONS, MLE_TOLERANCE, mle_fit
+from .mle import MLE_MAX_ITERATIONS, MLE_TOLERANCE, mle_fit, score_rounding
 
 POLICY_KINDS = (
     "ucb-glm",
@@ -143,42 +143,49 @@ def greedy_argmax(scores: np.ndarray, active: list[int] | None = None) -> int:
 
 
 def score_bound(
-    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float
-) -> tuple[float, float]:
-    """B with |theta_hat - theta|_V <= B for the MLE theta_hat of a log whose
-    exact score at theta is ``score``, and for any iterate a converged fit
-    could return, and the radius R below; B is inf when the score cannot
-    bound them. ``v_inv`` is V^{-1}, ``r_max`` the log's largest row norm
-    and ``theta_norm`` |theta|; theta need not be a converged fit.
+    link: LinkFunction, score: np.ndarray, v_inv: np.ndarray, r_max: float, theta_norm: float,
+    log: tuple[int, float, float],
+) -> tuple[float, np.ndarray, float]:
+    """(R, m0 V^{-1} g, w) for the MLE theta_hat of a log whose score at theta
+    is ``score`` (g), and for any iterate a converged fit could return:
+    |theta_hat - theta| <= R and, about the centre theta_c = theta + m0 V^{-1} g
+    as computed, |theta_hat - theta_c|_V <= w; (inf, 0, inf) when g bounds
+    nothing. ``v_inv`` is V^{-1}, ``r_max`` the largest row norm, ``theta_norm``
+    |theta| and ``log`` the log's (rows, tr V, |y|); theta need not be a fit.
 
-    The score's Jacobian is -sum mu'(x'theta) x x', and mu' is even and
-    non-increasing in |z| for the built-in links, so on the Euclidean
-    ball of radius R around theta it is at most -c V with
-    c = mu'(r_max (|theta| + R)). The mean-value step then gives
-    |theta_hat - theta|_V <= |score|_{V^{-1}} / c, as long as the bound
-    keeps inside the ball: B sqrt(tr V^{-1}) <= R, since
-    lambda_min(V) >= 1 / tr(V^{-1}). A converged iterate has a score of
-    sup-norm at most MLE_TOLERANCE, which moves it at most
-    sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c from theta_hat. R is taken
-    as twice the bound at the slope at theta itself.
+    mu' is even and non-increasing in |z| for the built-in links, so on the
+    ball of radius R about theta the Fisher matrix G = sum mu'(x'theta) x x'
+    lies in the sandwich c_min V <= G <= c_max V, c_min = mu'(r_max (|theta| +
+    R)) and c_max = ``link.lipschitz_bound``. A point of score g~ there is
+    theta + G~^{-1} (g - g~), G~ the mean of G on the segment, and the
+    eigenvalues of V^{1/2} G~^{-1} V^{1/2} lie in m0 -+ r = [1/c_max, 1/c_min].
+    So w = r |g|_{V^{-1}} + s / c_min and B = w + m0 |g|_{V^{-1}}, if B keeps the
+    point in the ball: B sqrt(tr V^{-1}) <= R, as lambda_min(V) >= 1 / tr V^{-1}.
+    The slack s covers a converged fit's own score (sup-norm MLE_TOLERANCE),
+    the rounding of both scores (``mle.score_rounding``) and of V^{-1} g and
+    |g|_{V^{-1}} (``design.inverse_rounding``). R is twice B at theta's slope.
     """
-    root_trace = math.sqrt(float(v_inv.trace()))
+    trace = log[1]
+    inverse_trace = math.fsum(v_inv.diagonal().tolist())
+    root_trace = math.sqrt(inverse_trace)
     _, mu_dot = float_forms(link)
-    # |score|_{V^{-1}}, plus the most a converged fit's residual score adds to it.
-    score_norm = weighted_norm(score, v_inv)
-    score_norm += math.sqrt(len(score)) * MLE_TOLERANCE * root_trace
+    shift = v_inv.dot(score)
+    score_norm = math.sqrt(max(float(score.dot(shift)), 0.0))  # |g|_{V^{-1}}
+    residual = math.sqrt(len(score)) * MLE_TOLERANCE * root_trace
+    slack = residual + 2.0 * root_trace * score_rounding(link, *log, theta_norm)
     slope = mu_dot(r_max * theta_norm)
-    if not slope > 0:
-        return math.inf, math.inf
-    radius = 2.0 * score_norm / slope * root_trace
+    radius = 2.0 * (score_norm + slack) / slope * root_trace if slope > 0 else math.inf
     reach = r_max * (theta_norm + radius)  # the largest |x'theta| on the ball
-    if not reach < 1e150:  # a bound this wide certifies nothing; mu' could overflow
-        return math.inf, math.inf
-    slope = mu_dot(reach)
+    slope = mu_dot(reach) if reach < 1e150 else 0.0  # a wider bound certifies nothing
     if not slope > 0:
-        return math.inf, math.inf
-    bound = score_norm / slope
-    return (bound if bound * root_trace <= radius else math.inf), radius
+        return math.inf, np.zeros_like(shift), math.inf
+    slack = residual + 2.0 * root_trace * score_rounding(link, *log, theta_norm + radius)
+    slack += inverse_rounding(len(score), trace * inverse_trace) * score_norm
+    bound = (score_norm + slack) / slope
+    if not bound * root_trace <= radius:
+        return math.inf, np.zeros_like(shift), math.inf
+    r = 0.5 * (1.0 / slope - 1.0 / link.lipschitz_bound)
+    return radius, (1.0 / slope - r) * shift, r * score_norm + slack / slope
 
 
 class GlmFit:
@@ -191,10 +198,10 @@ class GlmFit:
     converged or was cut short keeps what bounds the current log's MLE
     without refitting: ``score``, the score at its iterate on the current log
     (the fit's final score plus x (y - mu(x'theta)) for each row added
-    since), and ``r_max``, the largest row norm in the log. The bound rests
-    on a property of mu' that only the built-in links are known to have, so
-    a fit of any other link keeps no score, and bounds and certifies
-    nothing.
+    since), ``r_max``, the largest row norm in the log, and the sums of |x|^2
+    and y^2 over it. The bound rests on a property of mu' that only the
+    built-in links are known to have, so a fit of any other link keeps no
+    score, and bounds and certifies nothing.
     """
 
     def __init__(self, link: LinkFunction, design: DesignState):
@@ -206,18 +213,23 @@ class GlmFit:
         self.dirty = True
         self.score: np.ndarray | None = None  # None unless theta's fit converged or was cut
         self._certifies = is_builtin(link)
-        self._bounds: tuple[float, float] | None = None  # _bound's value until the state moves
+        self._interval: tuple | None = None  # interval()'s value until the state moves
         self._spent = 0  # Newton iterations the current log's fit has run
-        rows = design.features
-        self.r_max = float(np.sqrt(np.einsum("ij,ij->i", rows, rows)).max(initial=0.0))
+        squares = np.einsum("ij,ij->i", design.features, design.features)
+        self.r_max = float(np.sqrt(squares).max(initial=0.0))
+        self._trace = float(squares.sum())  # tr V
+        self._y_sq = float(design.rewards.dot(design.rewards))
 
     def update(self, x: np.ndarray, y: float) -> None:
         x = self.design.update(x, y)
-        self.r_max = max(self.r_max, math.sqrt(float(x.dot(x))))
+        square = float(x.dot(x))
+        self.r_max = max(self.r_max, math.sqrt(square))
+        self._trace += square
+        self._y_sq += y * y
         if self.score is not None:
             self.score += x * (y - self._mu(float(x.dot(self.theta))))
         self.dirty = True
-        self._bounds = None
+        self._interval = None
         self._spent = 0
 
     def refit(self, iterations: int = MLE_MAX_ITERATIONS) -> bool:
@@ -236,44 +248,44 @@ class GlmFit:
         self.dirty = not result.converged and self._spent < MLE_MAX_ITERATIONS
         kept = self._certifies and (result.converged or self.dirty)
         self.score = result.score.copy() if kept else None
-        self._bounds = None
+        self._interval = None
         return result.converged
 
-    def bound(self) -> float:
-        return self._bound()[0]
-
-    def _bound(self) -> tuple[float, float]:
-        """``score_bound`` at the last fit, or inf when it kept no score,
-        computed once per state of the fit: a round that certifies its arm
-        and then reads B again pays once."""
-        if self._bounds is None:
-            self._bounds = (math.inf, math.inf) if self.score is None else score_bound(
-                self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm
-            )
-        return self._bounds
+    def interval(self) -> tuple[np.ndarray, float, float]:
+        """(theta_c, w, R) of ``score_bound`` at the last fit, or (theta, inf,
+        inf) when it kept no score or bounds nothing; once per fit state."""
+        if self._interval is None:
+            self._interval = (self.theta, math.inf, math.inf)
+            if self.score is not None:
+                log = (self.design.n, self._trace, math.sqrt(self._y_sq))
+                radius, shift, width = score_bound(
+                    self.link, self.score, self.design.inverse(), self.r_max, self._theta_norm, log
+                )
+                if width < math.inf:
+                    self._interval = (self.theta + shift, width, radius)
+        return self._interval
 
     def certified_arm(self, contexts: np.ndarray, alpha: float, norms: np.ndarray) -> int | None:
         """The arm maximizing x'theta_hat + alpha |x|_{V^{-1}} at the current
         log's MLE theta_hat, read off the last fit without refitting, or None
-        when ``bound`` cannot certify it. ``norms`` are the |x|_{V^{-1}}.
+        when ``interval`` cannot certify it. ``norms`` are the |x|_{V^{-1}}.
 
-        Each arm's score at theta_hat lies within |x|_{V^{-1}} B of its score
-        at the last fit, so the top arm there is certified when even its
-        lowest score beats every other arm's highest.
-
-        No allowance is added for the rounding of x'theta at the last fit and
-        at the refit, d eps |x| (2 |theta| + R) at most: B's residual term
-        sqrt(d) MLE_TOLERANCE sqrt(tr V^{-1}) / c, sized for a converged fit's
-        own score at its worst, gives each arm a spread of at least
-        sqrt(d) MLE_TOLERANCE |x| / (c lambda_max(V)), orders above that while
-        sqrt(d) c lambda_max(V) (2 |theta| + R) << MLE_TOLERANCE / eps = 4.5e7.
+        Each arm's x'theta_hat lies within |x|_{V^{-1}} w of x'theta_c, so the
+        top arm at theta_c is certified when even its lowest score beats every
+        other arm's highest. Each spread also covers the rounding of x'theta_c
+        and x'theta_hat, where |theta_c| + |theta_hat| <= 2 (|theta| + R) and
+        every entry of x is at most |x| <= sqrt(tr V) |x|_{V^{-1}}, and of
+        adding alpha |x|_{V^{-1}}.
         """
-        bound = self.bound()
-        if bound == math.inf:
+        centre, width, radius = self.interval()
+        if width == math.inf:
             return None
-        scores = contexts.dot(self.theta) + alpha * norms
+        reach = 2.0 * (self._theta_norm + radius)
+        width += rounding_allowance(self.design.d, math.sqrt(self._trace), reach)
+        width += rounding_allowance(1, 1.0, alpha)  # adding alpha |x|_{V^{-1}}
+        scores = contexts.dot(centre) + alpha * norms
         top = int(scores.argmax())
-        spread = norms * bound
+        spread = norms * width
         rivals = (scores + spread).tolist()
         rivals[top] = -math.inf
         lowest = scores.item(top) - spread.item(top)
@@ -281,21 +293,21 @@ class GlmFit:
 
     def certified_greedy_arm(self, contexts: np.ndarray) -> int | None:
         """``certified_arm`` with alpha = 0, from pairwise margins:
-        (x_top - x_a)'theta_hat >= (x_top - x_a)'theta - |x_top - x_a|_{V^{-1}} B,
+        (x_top - x_a)'theta_hat >= (x_top - x_a)'theta_c - |x_top - x_a|_{V^{-1}} w,
         where |x_top - x_a|_{V^{-1}} <= |x_top|_{V^{-1}} + |x_a|_{V^{-1}}. That
         norm is near 0 for near-duplicate arms, so each margin must also clear
-        ``rounding_allowance`` for x'theta at theta and at theta_hat, with
-        |theta_hat| <= |theta| + R.
+        ``rounding_allowance`` for x'theta at theta_c and at theta_hat, with
+        |theta_c| and |theta_hat| at most |theta| + R (m0 |V^{-1} g| <= R).
         """
-        bound, radius = self._bound()
-        if bound == math.inf:
+        centre, width, radius = self.interval()
+        if width == math.inf:
             return None
-        scores = contexts.dot(self.theta)
+        scores = contexts.dot(centre)
         top = int(scores.argmax())
         norms = weighted_norms(contexts - contexts[top], self.design.inverse())
-        reach = 2.0 * self._theta_norm + radius
+        reach = 2.0 * (self._theta_norm + radius)
         allowance = rounding_allowance(self.design.d, float(np.abs(contexts).max()), reach)
-        margins = (scores.item(top) - scores - norms * bound).tolist()
+        margins = (scores.item(top) - scores - norms * width).tolist()
         margins[top] = math.inf
         return top if all(margin > allowance for margin in margins) else None
 

@@ -162,22 +162,24 @@ def _map_blocks(block: Callable[[range], list], replications: int) -> list:
 
 
 def _gap_interval(
-    link: LinkFunction, xs: np.ndarray, fit: MleResult, theta_star: np.ndarray,
-    directions: np.ndarray, widths: np.ndarray, v_inv: np.ndarray,
+    link: LinkFunction, xs: np.ndarray, ys: np.ndarray, fit: MleResult, theta_star: np.ndarray,
+    directions: np.ndarray, widths: np.ndarray, v: np.ndarray, v_inv: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per direction, the centre |x'(theta_1 - theta*)| and half-width of an
+    """Per direction, the centre |x'(theta_c - theta*)| and half-width of an
     interval that holds |x'(theta_hat - theta*)| for the log's MLE theta_hat
-    and for any iterate a converged fit could return: |x|_{V^{-1}} B, with B
-    ``score_bound``'s from the score at theta_1, plus the rounding of both
-    gaps, d eps |x| |theta - theta*| at most, as |theta_hat - theta_1| <= R."""
-    offset = fit.theta - theta_star
+    and any iterate a converged fit could return: |x|_{V^{-1}} w, the centre
+    and width that the sandwich c_min V <= G <= c_max V gives the score at
+    theta_1 (``score_bound``), plus the rounding of both gaps, d eps |x|
+    |theta - theta*|, as theta_c and theta_hat lie within R of theta_1."""
     r_max = math.sqrt(float(np.einsum("ij,ij->i", xs, xs).max()))
-    bound, radius = score_bound(
-        link, fit.score, v_inv, r_max, math.sqrt(float(fit.theta @ fit.theta))
+    log = (len(xs), float(v.trace()), math.sqrt(float(ys.dot(ys))))
+    radius, shift, width = score_bound(
+        link, fit.score, v_inv, r_max, math.sqrt(float(fit.theta @ fit.theta)), log
     )
-    reach = 2.0 * math.sqrt(float(offset @ offset)) + radius
+    offset = fit.theta + shift - theta_star
+    reach = 2.0 * (math.sqrt(float(offset @ offset)) + radius)
     allowance = rounding_allowance(len(offset), float(np.abs(directions).max()), reach)
-    return np.abs(directions @ offset), widths * bound + allowance
+    return np.abs(directions @ offset), widths * width + allowance
 
 
 def _theorem1_block(
@@ -206,7 +208,7 @@ def _theorem1_block(
         hit = None
         if not fit.converged and certifies:
             gaps, spread = _gap_interval(
-                link, xs, fit, env.theta_star, directions, widths, v_inv
+                link, xs, ys, fit, env.theta_star, directions, widths, v, v_inv
             )
             if (gaps + spread <= bound).all():
                 hit = True
@@ -358,10 +360,11 @@ class UcbRunStats:
     sigma, kappa, delta) at the sigma, kappa and delta its tuning resolved,
     and judges every round past tau against it. A round's interval is
 
-        [lo, hi] = |theta_ref - theta*|_{V_t} -+ B,
+        [lo, hi] = |theta_c - theta*|_{V_t} -+ w,
 
-    with theta_ref the last fit and B its ``GlmFit.bound()``, so it holds
-    |theta_hat_t - theta*|_{V_t} for the current log's MLE and for any
+    with the centre theta_c = theta_ref + m0 V_t^{-1} g and the width w that
+    the sandwich c_min V <= G <= c_max V gives the last fit (``score_bound``),
+    so it holds |theta_hat_t - theta*|_{V_t} for the current log's MLE and any
     iterate a converged refit could return. hi <= r_t + 1e-12 is a hit and
     lo > r_t + 1e-12 a miss. A round whose interval straddles the radius
     refits, records the fresh fit's interval, and is judged by the fresh
@@ -384,8 +387,10 @@ class UcbRunStats:
 
 def _norm_interval(fit: GlmFit, theta_star: np.ndarray) -> tuple[float, float]:
     """Centre and half-width of the interval that holds |theta_hat - theta*|_V:
-    the last fit's own distance |theta_ref - theta*|_V and its bound B."""
-    return weighted_norm(fit.theta - theta_star, fit.design.V), fit.bound()
+    the distance |theta_c - theta*|_V and the width w of the last fit's
+    ``GlmFit.interval``."""
+    centre, width, _ = fit.interval()
+    return weighted_norm(centre - theta_star, fit.design.V), width
 
 
 def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
@@ -405,16 +410,16 @@ def _ucb_glm_block(spec: ExperimentSpec, reps: range) -> list[UcbRunStats]:
             radius = estimate_ellipsoid_bound(
                 config.d, t, config.sigma, config.kappa, config.delta
             ) + 1e-12
-            centre, bound = _norm_interval(fit, env.theta_star)
-            if centre - bound <= radius < centre + bound:  # a straddle: judge the fresh fit
+            centre, width = _norm_interval(fit, env.theta_star)
+            if centre - width <= radius < centre + width:  # a straddle: judge the fresh fit
                 policy.estimate()
-                centre, bound = _norm_interval(fit, env.theta_star)
-                within.append(centre <= radius)
+                centre, width = _norm_interval(fit, env.theta_star)
+                within.append(weighted_norm(fit.theta - env.theta_star, fit.design.V) <= radius)
             else:
-                within.append(centre + bound <= radius)
+                within.append(centre + width <= radius)
             ts.append(t)
-            los.append(centre - bound)
-            his.append(centre + bound)
+            los.append(centre - width)
+            his.append(centre + width)
             widths.append(weighted_norm(x, fit.design.inverse()))
 
         # Only round T enters the trace; the observer keeps what the checks need.

@@ -10,18 +10,19 @@ polynomial instead of calling a symmetric eigensolver.  The module also
 keeps the helpers that only tests use (score vectors, UCB means and
 widths, per-index stage scores, regret of one round, scalar reward draws,
 the SupCB-GLM round recorder and partition check, the inverse consistency
-error, the trace file reader), and as references the CSV writers as first
-written, row by row, the instrumented UCB-GLM runner's own loop, the
-theorem1 check's fit-everything loop, the validation checks' own sampler,
-the harness's per-round simulation loop
-and the GLM learners as first written, each with its own refit, with
-SupCB-GLM also in its first fit-every-stage order.
+error, the identity link's MLE in exact arithmetic, the trace file
+reader), and as references the CSV writers as first written, row by row,
+the instrumented UCB-GLM runner's own loop, the theorem1 check's
+fit-everything loop, the validation checks' own sampler, the harness's
+per-round simulation loop and the GLM learners as first written, each
+with its own refit, with SupCB-GLM also in its first fit-every-stage order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import ndtr
@@ -281,6 +282,26 @@ def ucb_scores(
 def score_vector(link, xs, ys, theta):
     """Gradient of the GLM log-likelihood at theta."""
     return xs.T @ (ys - link.mu(xs @ theta))
+
+
+def exact_distance_to_identity_mle(xs, ys, point) -> float:
+    """|theta_hat - point|_V for the identity link's MLE theta_hat = V^{-1} sum x y
+    of a log, in exact rational arithmetic (every float is a rational), so
+    with no rounding but the final conversion to float."""
+    rows = [[Fraction(float(v)) for v in x] for x in xs]
+    d = len(rows[0])
+    v = [[sum(x[i] * x[j] for x in rows) for j in range(d)] for i in range(d)]
+    # Gauss-Jordan elimination on [V | sum x y], exact.
+    a = [v[i] + [sum(x[i] * Fraction(float(y)) for x, y in zip(rows, ys))] for i in range(d)]
+    for c in range(d):
+        pivot = next(r for r in range(c, d) if a[r][c] != 0)
+        a[c], a[pivot] = a[pivot], a[c]
+        for r in range(d):
+            if r != c:
+                f = a[r][c] / a[c][c]
+                a[r] = [e - f * ec for e, ec in zip(a[r], a[c])]
+    gap = [a[i][d] / a[i][i] - Fraction(float(point[i])) for i in range(d)]
+    return math.sqrt(sum(gap[i] * v[i][j] * gap[j] for i in range(d) for j in range(d)))
 
 
 def link_eval(link, z: float) -> float:

@@ -102,6 +102,15 @@ def test_the_pairwise_rounding_allowance_has_one_owner():
     assert design.rounding_allowance(5, 0.5, 3.0) == 2.0**-49 * 5**1.5 * 0.5 * 3.0
 
 
+def test_the_inverse_rounding_has_one_owner():
+    # The certificates' interval and norm_lower_bound both ask inverse_rounding.
+    package = Path(design.__file__).parent
+    assert [p.name for p in sorted(package.glob("*.py")) if "2.0**-46" in p.read_text()] == [
+        "design.py"
+    ]
+    assert design.inverse_rounding(3, 10.0) == (3 * 10.0) ** 2 * 2.0**-46
+
+
 def test_width_monotone_under_updates():
     gen = np.random.default_rng(5)
     state = DesignState(4)

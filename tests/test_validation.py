@@ -144,28 +144,34 @@ def test_theorem1_matches_reference_that_fits_to_convergence(shape, monkeypatch)
             "all": resumed == replications}[expected], resumed
 
 
+# A bound that splits the replications (244 hits of 300). The interval about
+# theta_c is sharp enough that dropping its width changes 10 verdicts here
+# and halving it 2, where on the "tight" shape neither changes one.
+PLANTED_THEOREM1 = ((LOGISTIC, 3, 150, None, 0.9, probe_directions(3, 100, 12), 300),
+                    dict(noise="bernoulli", master_seed=12))
+
+
 @pytest.fixture(scope="module")
-def tight_theorem1_reference():
-    args, kwargs, _ = THEOREM1_SHAPES["tight"]
+def planted_theorem1_reference():
+    args, kwargs = PLANTED_THEOREM1
     return reference_theorem1_coverage(*args, **kwargs).to_dict()
 
 
-# Planted faults in the interval |x'(theta_1 - theta*)| -+ |x|_{V^{-1}} B,
+# Planted faults in the interval |x'(theta_c - theta*)| -+ |x|_{V^{-1}} w,
 # given the true centres and half-widths. The check above must see each.
 PLANTED_GAP_INTERVALS = {
-    "B-dropped": lambda gaps, spread: (gaps, 0.0 * spread),
+    "B-dropped": lambda gaps, spread: (gaps, np.zeros_like(spread)),
     "B-halved": lambda gaps, spread: (gaps, spread / 2.0),
     "centred-on-theta-star": lambda gaps, spread: (0.0 * gaps, spread),  # |x'(theta* - theta*)|
 }
 
 
 @pytest.mark.parametrize("fault", PLANTED_GAP_INTERVALS)
-def test_planted_gap_interval_faults_are_caught(fault, tight_theorem1_reference, monkeypatch):
+def test_planted_gap_interval_faults_are_caught(fault, planted_theorem1_reference, monkeypatch):
     real, plant = validation._gap_interval, PLANTED_GAP_INTERVALS[fault]
     monkeypatch.setattr(validation, "_gap_interval", lambda *a: plant(*real(*a)))
-    args, kwargs, _ = THEOREM1_SHAPES["tight"]
-    report, _ = _theorem1_with_resumes(args, kwargs, monkeypatch)
-    assert report != tight_theorem1_reference
+    report, _ = _theorem1_with_resumes(*PLANTED_THEOREM1, monkeypatch)
+    assert report != planted_theorem1_reference
 
 
 def test_condition_threshold_identity_uses_consistency_level():
@@ -338,8 +344,8 @@ def explicit_shape_reference():
     return reference_run_ucb_glm_instrumented(*args, **kwargs)
 
 
-# Planted faults in the interval |theta_ref - theta*|_V -+ B, given the
-# true centre and B. The check above must see each of them.
+# Planted faults in the interval |theta_c - theta*|_V -+ w, given the
+# true centre and w. The check above must see each of them.
 PLANTED_INTERVALS = {
     "B-dropped": lambda centre, bound: (centre, 0.0),
     "B-halved": lambda centre, bound: (centre, bound / 2.0),
